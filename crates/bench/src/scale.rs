@@ -64,8 +64,11 @@ impl SimPlatform {
     /// Nominal per-clone guest footprint reported by the token.
     pub const CLONE_PSS: u64 = 24 << 20;
 
-    /// A fresh platform on `env`.
+    /// A fresh platform on `env`, opted into the cluster's residency
+    /// journal: every change to `resident` is journaled, so a cluster
+    /// routes without re-probing this host.
     pub fn new(env: PlatformEnv) -> Self {
+        env.residency.track();
         SimPlatform {
             env,
             registered: IdMap::new(),
@@ -93,6 +96,23 @@ impl SimPlatform {
             _ => Self::DEFAULT_EXEC,
         }
     }
+
+    /// Makes `function` resident, journaling the change.
+    fn make_resident(&mut self, function: FunctionId) {
+        if self.resident.insert(function, ()).is_none() {
+            self.env.residency.changed(function);
+        }
+    }
+
+    /// Drops `function`'s snapshot, journaling the change; returns
+    /// whether it was resident.
+    fn drop_resident(&mut self, function: FunctionId) -> bool {
+        let was = self.resident.remove(function).is_some();
+        if was {
+            self.env.residency.changed(function);
+        }
+        was
+    }
 }
 
 impl Platform for SimPlatform {
@@ -107,7 +127,7 @@ impl Platform for SimPlatform {
     fn install(&mut self, spec: &FunctionSpec) -> Result<InstallReport, PlatformError> {
         let function = fireworks_core::fid(&spec.name);
         self.registered.insert(function, ());
-        self.resident.insert(function, ());
+        self.make_resident(function);
         Ok(InstallReport {
             install_time: Self::COLD_START,
             snapshot_pages: 0,
@@ -123,7 +143,7 @@ impl Platform for SimPlatform {
     }
 
     fn evict(&mut self, function: FunctionId) {
-        self.resident.remove(function);
+        self.drop_resident(function);
     }
 }
 
@@ -156,7 +176,7 @@ impl ConcurrentPlatform for SimPlatform {
         }
         // A cold start leaves the snapshot behind: later requests for
         // this function on this host restore instead of rebuilding.
-        self.resident.insert(req.function, ());
+        self.make_resident(req.function);
         let exec = Self::exec_of(req);
         self.env.clock.advance(startup + exec);
         let invocation = Invocation {
@@ -196,7 +216,7 @@ impl ConcurrentPlatform for SimPlatform {
 
     fn prewarm(&mut self, function: FunctionId) -> bool {
         if self.registered.contains(function) {
-            self.resident.insert(function, ());
+            self.make_resident(function);
             true
         } else {
             false
@@ -204,7 +224,7 @@ impl ConcurrentPlatform for SimPlatform {
     }
 
     fn retire(&mut self, function: FunctionId) -> bool {
-        self.resident.remove(function).is_some()
+        self.drop_resident(function)
     }
 
     fn register(&mut self, spec: &FunctionSpec) -> Result<(), PlatformError> {

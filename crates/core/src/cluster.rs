@@ -20,6 +20,13 @@
 //! [`LocalityAffinity`] implements that policy; `cluster_sweep` measures
 //! it against [`RoundRobin`] and [`LeastLoaded`].
 //!
+//! # Routing index
+//!
+//! A routing decision costs O(holders), not O(hosts): the cluster keeps
+//! a per-function list of holders, fed by the hosts'
+//! [`ResidencyJournal`]s, and routers read it through [`FleetQuery`].
+//! Hosts whose platform does not journal are re-probed per decision.
+//!
 //! # Admission and backpressure
 //!
 //! Each host has a FIFO admission queue bounded by
@@ -49,6 +56,7 @@
 //! and every router policy is deterministic. Two runs with the same
 //! inputs produce byte-identical reports for any host count.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
 use fireworks_obs::{cat, Obs, Recorder, SpanContext, SpanId, TraceId};
@@ -63,9 +71,9 @@ use crate::api::{
 };
 use crate::config::PlatformConfig;
 use crate::engine::{CompletionPolicy, EngineRequest};
-use crate::env::{EnvConfig, PlatformEnv};
+use crate::env::{EnvConfig, JournalSink, PlatformEnv, ResidencyJournal};
 use crate::mesh::{ChunkMesh, SharedChunkMesh};
-use crate::symbols::{FunctionId, HostId};
+use crate::symbols::{FunctionId, HostId, IdMap};
 
 /// Per-host seed spacing for the derived fault plans (golden-ratio
 /// increment, the SplitMix64 stream constant).
@@ -158,19 +166,102 @@ pub enum Route {
     Defer,
 }
 
+/// The fleet as a router sees it while placing one request: every
+/// host's load and health, and which hosts hold the routed function's
+/// start artifact.
+///
+/// Host ids are dense — the fleet is hosts `0..host_count()` — and a
+/// crashed or retired host keeps its id (it just never has capacity).
+pub trait FleetQuery {
+    /// Hosts in the fleet, alive or not.
+    fn host_count(&self) -> usize;
+
+    /// Host `h`'s view for the routed function.
+    fn view(&self, h: HostId) -> HostView;
+
+    /// Hosts whose residency for the routed function is not
+    /// [`SnapshotResidency::Absent`], in ascending id order. Every
+    /// other host holds nothing of it.
+    fn holders(&self) -> &[HostId];
+}
+
+/// Every host's view, in id order.
+fn all_views(fleet: &dyn FleetQuery) -> impl Iterator<Item = HostView> + '_ {
+    (0..fleet.host_count()).map(|h| fleet.view(HostId::from_index(h)))
+}
+
+/// A [`FleetQuery`] over a slice of views, for [`Router::route`].
+struct SliceFleet<'a> {
+    hosts: &'a [HostView],
+    holders: Vec<HostId>,
+}
+
+impl<'a> SliceFleet<'a> {
+    fn new(hosts: &'a [HostView]) -> Self {
+        debug_assert!(
+            hosts.iter().enumerate().all(|(k, v)| v.id.index() == k),
+            "views must be indexed by host id"
+        );
+        let holders = hosts
+            .iter()
+            .filter(|v| v.residency != SnapshotResidency::Absent)
+            .map(|v| v.id)
+            .collect();
+        SliceFleet { hosts, holders }
+    }
+}
+
+impl FleetQuery for SliceFleet<'_> {
+    fn host_count(&self) -> usize {
+        self.hosts.len()
+    }
+
+    fn view(&self, h: HostId) -> HostView {
+        self.hosts[h.index()]
+    }
+
+    fn holders(&self) -> &[HostId] {
+        &self.holders
+    }
+}
+
 /// A deterministic request-placement policy.
 ///
 /// The contract: return only hosts for which
 /// [`HostView::has_capacity`] holds, and [`Route::Defer`] when there is
 /// none. Policies must be pure functions of their own state and the
-/// views — no randomness, no wall clock — so cluster runs replay
-/// byte-identically.
+/// fleet they are shown — no randomness, no wall clock — so cluster runs
+/// replay byte-identically.
+///
+/// The clusters call [`Router::route_fleet`]. A policy written against
+/// [`FleetQuery`] overrides it and can touch only the hosts it needs
+/// (the built-in ones do, and implement [`Router::route`] as a thin
+/// adapter); a policy that implements only `route` still works, at the
+/// cost of one view per host per decision.
 pub trait Router {
     /// Policy name (used in reports and metric labels).
     fn name(&self) -> &'static str;
 
-    /// Places one request given the current per-host views.
+    /// Places one request given every host's view; `hosts[k].id` is
+    /// host `k`.
     fn route(&mut self, req: &InvokeRequest, hosts: &[HostView]) -> Route;
+
+    /// Places one request against the fleet's query handle. The default
+    /// builds every host's view into a reused buffer and calls
+    /// [`Router::route`].
+    fn route_fleet(&mut self, req: &InvokeRequest, fleet: &dyn FleetQuery) -> Route {
+        thread_local! {
+            static VIEWS: RefCell<Vec<HostView>> = const { RefCell::new(Vec::new()) };
+        }
+        // Taken out, not borrowed: a `route` that re-enters here gets a
+        // fresh buffer instead of a borrow panic.
+        let mut views = VIEWS.with(RefCell::take);
+        views.clear();
+        views.extend(all_views(fleet));
+        let route = self.route(req, &views);
+        VIEWS.with(|cell| cell.replace(views));
+        route
+    }
 }
 
 /// Cycles through hosts in index order, skipping hosts without capacity.
@@ -191,13 +282,18 @@ impl Router for RoundRobin {
         "round_robin"
     }
 
-    fn route(&mut self, _req: &InvokeRequest, hosts: &[HostView]) -> Route {
-        let n = hosts.len();
+    fn route(&mut self, req: &InvokeRequest, hosts: &[HostView]) -> Route {
+        self.route_fleet(req, &SliceFleet::new(hosts))
+    }
+
+    fn route_fleet(&mut self, _req: &InvokeRequest, fleet: &dyn FleetQuery) -> Route {
+        let n = fleet.host_count();
         for k in 0..n {
             let h = (self.next + k) % n;
-            if hosts[h].has_capacity() {
+            let view = fleet.view(HostId::from_index(h));
+            if view.has_capacity() {
                 self.next = (h + 1) % n;
-                return Route::Host(hosts[h].id);
+                return Route::Host(view.id);
             }
         }
         Route::Defer
@@ -221,11 +317,15 @@ impl Router for LeastLoaded {
         "least_loaded"
     }
 
-    fn route(&mut self, _req: &InvokeRequest, hosts: &[HostView]) -> Route {
-        match least_loaded(hosts, |v| v.has_capacity()) {
-            Some(h) => Route::Host(h),
-            None => Route::Defer,
-        }
+    fn route(&mut self, req: &InvokeRequest, hosts: &[HostView]) -> Route {
+        self.route_fleet(req, &SliceFleet::new(hosts))
+    }
+
+    fn route_fleet(&mut self, _req: &InvokeRequest, fleet: &dyn FleetQuery) -> Route {
+        all_views(fleet)
+            .filter(HostView::has_capacity)
+            .min_by_key(|v| (v.load(), v.id))
+            .map_or(Route::Defer, |v| Route::Host(v.id))
     }
 }
 
@@ -245,6 +345,9 @@ impl Router for LeastLoaded {
 /// 4. else — home, holders, and partials all saturated — the first
 ///    host with capacity after the home probe, reported as
 ///    [`Route::Fallback`].
+///
+/// Steps 1 and 2 scan only [`FleetQuery::holders`], so a decision costs
+/// O(holders) plus the home probe, not O(hosts).
 ///
 /// With a flat snapshot store every residency is `Full` or `Absent`, so
 /// step 2 never matches and the policy reduces to its pre-dedup
@@ -282,32 +385,37 @@ impl Router for LocalityAffinity {
     }
 
     fn route(&mut self, req: &InvokeRequest, hosts: &[HostView]) -> Route {
-        if let Some(h) = least_loaded(hosts, |v| v.has_capacity() && v.residency.is_full()) {
-            return Route::Host(h);
-        }
-        // No full holder free: the cheapest partial holder ships only its
-        // missing chunks.
-        if let Some(h) = hosts
+        self.route_fleet(req, &SliceFleet::new(hosts))
+    }
+
+    fn route_fleet(&mut self, req: &InvokeRequest, fleet: &dyn FleetQuery) -> Route {
+        // One pass over the holders: any free full holder (least loaded)
+        // beats every partial one; among partials, the one that would
+        // ship the fewest missing bytes wins.
+        if let Some(v) = fleet
+            .holders()
             .iter()
-            .filter(|v| {
-                v.has_capacity() && matches!(v.residency, SnapshotResidency::Partial { .. })
+            .map(|&h| fleet.view(h))
+            .filter(HostView::has_capacity)
+            .min_by_key(|v| {
+                let r = v.residency;
+                (!r.is_full(), r.missing_bytes(), v.load(), v.id)
             })
-            .min_by_key(|v| (v.residency.missing_bytes(), v.load(), v.id))
-            .map(|v| v.id)
         {
-            return Route::Host(h);
+            return Route::Host(v.id);
         }
         // Otherwise send the function to its stable home so the rebuild
         // happens where future requests will land.
-        let n = hosts.len();
+        let n = fleet.host_count();
         let home = (self.home_hash(req.function) % n as u64) as usize;
         for k in 0..n {
             let h = (home + k) % n;
-            if hosts[h].has_capacity() {
+            let view = fleet.view(HostId::from_index(h));
+            if view.has_capacity() {
                 return if h == home {
-                    Route::Host(hosts[h].id)
+                    Route::Host(view.id)
                 } else {
-                    Route::Fallback(hosts[h].id)
+                    Route::Fallback(view.id)
                 };
             }
         }
@@ -315,14 +423,173 @@ impl Router for LocalityAffinity {
     }
 }
 
-/// Least-loaded host among those passing `accept`; ties go to the
-/// lowest index.
-fn least_loaded(hosts: &[HostView], accept: impl Fn(&HostView) -> bool) -> Option<HostId> {
-    hosts
-        .iter()
-        .filter(|v| accept(v))
-        .min_by_key(|v| (v.load(), v.id))
-        .map(|v| v.id)
+/// One row of a cluster's host table, as routing reads it.
+pub(crate) trait HostLoad {
+    /// Whether the host admits requests.
+    fn serving(&self) -> bool;
+    /// Invocations in service.
+    fn inflight(&self) -> usize;
+    /// Requests in the host's admission queue.
+    fn queue_depth(&self) -> usize;
+}
+
+/// The holders of one function: ascending host ids with each one's
+/// non-[`SnapshotResidency::Absent`] residency alongside.
+#[derive(Debug, Default)]
+pub(crate) struct Holders {
+    hosts: Vec<HostId>,
+    residency: Vec<SnapshotResidency>,
+}
+
+impl Holders {
+    fn set(&mut self, h: HostId, residency: SnapshotResidency) {
+        match (self.hosts.binary_search(&h), residency) {
+            (Ok(k), SnapshotResidency::Absent) => {
+                self.hosts.remove(k);
+                self.residency.remove(k);
+            }
+            (Ok(k), r) => self.residency[k] = r,
+            (Err(_), SnapshotResidency::Absent) => {}
+            (Err(k), r) => {
+                self.hosts.insert(k, h);
+                self.residency.insert(k, r);
+            }
+        }
+    }
+
+    fn get(&self, h: HostId) -> SnapshotResidency {
+        self.hosts
+            .binary_search(&h)
+            .map_or(SnapshotResidency::Absent, |k| self.residency[k])
+    }
+
+    /// `(host, residency)` pairs in ascending host order.
+    pub(crate) fn pairs(&self) -> Vec<(HostId, SnapshotResidency)> {
+        self.hosts
+            .iter()
+            .copied()
+            .zip(self.residency.iter().copied())
+            .collect()
+    }
+}
+
+/// The routing index: which hosts hold each function's start artifact,
+/// kept current from the hosts' [`ResidencyJournal`]s.
+///
+/// Before each routing decision the owning cluster calls
+/// [`HolderIndex::refresh`], which re-probes only the `(host, function)`
+/// pairs the journals named since the last call — plus, for the routed
+/// function, every host whose platform did not opt into the journal.
+pub(crate) struct HolderIndex {
+    sink: JournalSink,
+    /// The sink's contents being applied (swapped out, so the buffer is
+    /// reused and probes may journal without a borrow conflict).
+    pending: Vec<(HostId, FunctionId)>,
+    /// Hosts joined so far (ids `0..hosts`).
+    hosts: usize,
+    /// Hosts whose platform did not opt in, re-probed per decision.
+    unjournaled: Vec<HostId>,
+    holders: IdMap<Holders>,
+}
+
+impl HolderIndex {
+    pub(crate) fn new() -> Self {
+        HolderIndex {
+            sink: JournalSink::default(),
+            pending: Vec::new(),
+            hosts: 0,
+            unjournaled: Vec::new(),
+            holders: IdMap::new(),
+        }
+    }
+
+    /// Adds the next host: wires its journal into `env` before `build`
+    /// makes its platform (so the journal sees the platform's whole
+    /// life), then notes whether the platform opted in. Returns the
+    /// wired environment and the platform.
+    pub(crate) fn add_host<P>(
+        &mut self,
+        mut env: PlatformEnv,
+        build: impl FnOnce(PlatformEnv) -> P,
+    ) -> (PlatformEnv, P) {
+        let h = HostId::from_index(self.hosts);
+        env.residency = ResidencyJournal::wired(h, self.sink.clone());
+        let platform = build(env.clone());
+        if !env.residency.is_tracked() {
+            self.unjournaled.push(h);
+        }
+        self.hosts += 1;
+        (env, platform)
+    }
+
+    /// Brings `function`'s holders up to date, with `probe` answering a
+    /// host's current residency, and returns them.
+    pub(crate) fn refresh(
+        &mut self,
+        function: FunctionId,
+        probe: impl Fn(HostId, FunctionId) -> SnapshotResidency,
+    ) -> &Holders {
+        std::mem::swap(&mut self.pending, &mut self.sink.borrow_mut());
+        for (h, f) in self.pending.drain(..) {
+            let residency = probe(h, f);
+            holders_mut(&mut self.holders, f).set(h, residency);
+        }
+        let entry = holders_mut(&mut self.holders, function);
+        for &h in &self.unjournaled {
+            entry.set(h, probe(h, function));
+        }
+        // Exactness: a platform that opted in but missed a journal call
+        // shows up here, in every debug-build cluster run.
+        #[cfg(debug_assertions)]
+        for h in (0..self.hosts).map(HostId::from_index) {
+            assert_eq!(
+                entry.get(h),
+                probe(h, function),
+                "routing index is stale for {function} on host {h}: \
+                 its platform changed residency without journaling it"
+            );
+        }
+        entry
+    }
+}
+
+fn holders_mut(holders: &mut IdMap<Holders>, f: FunctionId) -> &mut Holders {
+    if !holders.contains(f) {
+        holders.insert(f, Holders::default());
+    }
+    holders.get_mut(f).expect("inserted above")
+}
+
+/// A [`FleetQuery`] over a cluster's host table and one function's
+/// holders.
+pub(crate) struct IndexedFleet<'a, H> {
+    pub(crate) hosts: &'a [H],
+    pub(crate) holders: &'a Holders,
+    pub(crate) slots: usize,
+    pub(crate) queue_cap: usize,
+}
+
+impl<H: HostLoad> FleetQuery for IndexedFleet<'_, H> {
+    fn host_count(&self) -> usize {
+        self.hosts.len()
+    }
+
+    fn view(&self, h: HostId) -> HostView {
+        let host = &self.hosts[h.index()];
+        HostView {
+            id: h,
+            healthy: host.serving(),
+            inflight: host.inflight(),
+            queue_depth: host.queue_depth(),
+            slots: self.slots,
+            queue_cap: self.queue_cap,
+            residency: self.holders.get(h),
+        }
+    }
+
+    fn holders(&self) -> &[HostId] {
+        &self.holders.hosts
+    }
 }
 
 /// FNV-1a over the function name: a stable hash (unlike `DefaultHasher`,
@@ -423,6 +690,20 @@ struct Host<P: ConcurrentPlatform> {
     g_queue_depth: fireworks_obs::Gauge,
 }
 
+impl<P: ConcurrentPlatform> HostLoad for Host<P> {
+    fn serving(&self) -> bool {
+        self.healthy
+    }
+
+    fn inflight(&self) -> usize {
+        self.inflight.len()
+    }
+
+    fn queue_depth(&self) -> usize {
+        self.waiting.len()
+    }
+}
+
 enum Event {
     Arrive(usize),
     Complete { host: usize, index: usize },
@@ -451,6 +732,8 @@ pub struct Cluster<P: ConcurrentPlatform> {
     /// Every host is attached at construction; platforms without a chunk
     /// store ignore it.
     mesh: SharedChunkMesh,
+    /// Which hosts hold each function's start artifact.
+    index: HolderIndex,
 }
 
 impl<P: ConcurrentPlatform> Cluster<P> {
@@ -473,6 +756,7 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         let clock = Clock::new();
         let obs = Obs::new(clock.clone());
         let mesh = ChunkMesh::shared();
+        let mut index = HolderIndex::new();
         let hosts: Vec<Host<P>> = (0..config.hosts)
             .map(|h| {
                 let mut env_config = config.env.clone();
@@ -481,7 +765,7 @@ impl<P: ConcurrentPlatform> Cluster<P> {
                     .seed
                     .wrapping_add((h as u64).wrapping_mul(HOST_SEED_STRIDE));
                 let env = PlatformEnv::with_shared(env_config, clock.clone(), obs.clone());
-                let mut platform = factory(env.clone(), &config.platform);
+                let (env, mut platform) = index.add_host(env, |env| factory(env, &config.platform));
                 platform.attach_mesh(mesh.clone(), HostId::from_index(h));
                 let label = h.to_string();
                 let m = obs.metrics();
@@ -518,6 +802,7 @@ impl<P: ConcurrentPlatform> Cluster<P> {
             g_inflight,
             g_queue_depth,
             mesh,
+            index,
         }
     }
 
@@ -597,20 +882,15 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         &self.mesh
     }
 
-    /// Fills `buf` with the current per-host views for `function`. The
-    /// buffer is reused across routing decisions so the hot path never
-    /// allocates.
-    fn views_into(&self, function: FunctionId, buf: &mut Vec<HostView>) {
-        buf.clear();
-        buf.extend(self.hosts.iter().enumerate().map(|(id, host)| HostView {
-            id: HostId::from_index(id),
-            healthy: host.healthy,
-            inflight: host.inflight.len(),
-            queue_depth: host.waiting.len(),
-            slots: self.config.slots_per_host,
-            queue_cap: self.config.host_queue_cap,
-            residency: host.platform.residency(function),
-        }));
+    /// The routing index's holders of `function`, in host order, after
+    /// applying every residency change journaled so far — what the next
+    /// routing decision for `function` would see. Hosts absent from the
+    /// list hold nothing of it.
+    pub fn holders(&mut self, function: FunctionId) -> Vec<(HostId, SnapshotResidency)> {
+        let hosts = &self.hosts;
+        self.index
+            .refresh(function, |h, f| hosts[h.index()].platform.residency(f))
+            .pairs()
     }
 
     /// Drives `requests` (sorted by arrival) through the cluster under
@@ -649,7 +929,6 @@ impl<P: ConcurrentPlatform> Cluster<P> {
             failed_hosts: Vec::new(),
             crash_reroutes: 0,
             roots: BTreeMap::new(),
-            views_buf: Vec::with_capacity(self.hosts.len()),
         };
         let rec = self.obs.recorder().clone();
 
@@ -787,7 +1066,7 @@ impl<P: ConcurrentPlatform> Cluster<P> {
                 );
             }
         }
-        if !self.hosts.iter().any(|h| h.healthy) {
+        if self.healthy_hosts == 0 {
             // Nothing can ever serve this request: the cluster queue
             // only drains on completions, and completions on dead hosts
             // don't restore capacity a router could use.
@@ -810,21 +1089,24 @@ impl<P: ConcurrentPlatform> Cluster<P> {
             });
             return true;
         }
-        let mut views = std::mem::take(&mut run.views_buf);
-        self.views_into(r.invoke.function, &mut views);
-        let decision = router.route(&r.invoke, &views);
-        let (host, rebalanced) = match decision {
-            Route::Host(h) => (h.index(), false),
-            Route::Fallback(h) => (h.index(), true),
+        let hosts = &self.hosts;
+        let fleet = IndexedFleet {
+            hosts,
+            holders: self.index.refresh(r.invoke.function, |h, f| {
+                hosts[h.index()].platform.residency(f)
+            }),
+            slots: self.config.slots_per_host,
+            queue_cap: self.config.host_queue_cap,
+        };
+        let (host, rebalanced) = match router.route_fleet(&r.invoke, &fleet) {
+            Route::Host(h) => (h, false),
+            Route::Fallback(h) => (h, true),
             // The caller parks the request on the cluster queue (front or
             // back, depending on whether it's a drain or an arrival).
-            Route::Defer => {
-                run.views_buf = views;
-                return false;
-            }
+            Route::Defer => return false,
         };
-        debug_assert!(views[host].has_capacity(), "router picked a full host");
-        run.views_buf = views;
+        debug_assert!(fleet.view(host).has_capacity(), "router picked a full host");
+        let host = host.index();
         if rebalanced || rerouted_from.is_some() {
             run.rebalances += 1;
             self.obs.metrics().inc("cluster.rebalances", &[]);
@@ -1026,8 +1308,6 @@ struct RunState<T> {
     // Per-request detached trace roots, opened at arrival and closed at
     // completion or rejection.
     roots: BTreeMap<usize, (TraceId, SpanId)>,
-    // Reusable per-decision host-view scratch buffer.
-    views_buf: Vec<HostView>,
 }
 
 /// Rejects request `i` with [`PlatformError::DeadlineExceeded`] if its

@@ -77,7 +77,10 @@ use fireworks_sim::trace::Phase;
 use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{ConcurrentPlatform, FunctionSpec, PlatformError, StoreAudit};
-use crate::cluster::{ClusterCompletion, HostView, Route, Router, HOST_SEED_STRIDE};
+use crate::cluster::{
+    ClusterCompletion, FleetQuery, HolderIndex, HostLoad, IndexedFleet, Route, Router,
+    HOST_SEED_STRIDE,
+};
 use crate::config::{PlatformConfig, RecoveryPolicy};
 use crate::engine::EngineRequest;
 use crate::env::{EnvConfig, PlatformEnv};
@@ -329,6 +332,22 @@ struct EHost<P: ConcurrentPlatform> {
     label: String,
 }
 
+impl<P: ConcurrentPlatform> HostLoad for EHost<P> {
+    /// Only [`HostPhase::Active`] hosts admit: booting and draining
+    /// hosts count as unhealthy.
+    fn serving(&self) -> bool {
+        self.phase == HostPhase::Active
+    }
+
+    fn inflight(&self) -> usize {
+        self.inflight.len()
+    }
+
+    fn queue_depth(&self) -> usize {
+        self.waiting.len()
+    }
+}
+
 enum Ev {
     Arrive(usize),
     Complete {
@@ -378,9 +397,6 @@ struct ERun {
     /// Per-request detached trace roots, opened at arrival and closed at
     /// completion or rejection.
     roots: BTreeMap<usize, (TraceId, SpanId)>,
-    /// Reused router-view scratch buffer (one allocation per run, not
-    /// per routing decision).
-    views_buf: Vec<HostView>,
 }
 
 /// A boxed host-platform constructor, retained by the cluster so the
@@ -398,6 +414,9 @@ pub struct ElasticCluster<P: ConcurrentPlatform> {
     config: ElasticConfig,
     hosts: Vec<EHost<P>>,
     mesh: SharedChunkMesh,
+    /// Which hosts hold each function's start artifact; hosts join it
+    /// as they are created.
+    index: HolderIndex,
     factory: HostFactory<P>,
     specs: BTreeMap<FunctionId, FunctionSpec>,
     /// The scale-to-zero archive: a cluster-durable chunk store
@@ -471,6 +490,7 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             config,
             hosts: Vec::new(),
             mesh,
+            index: HolderIndex::new(),
             factory: Box::new(factory),
             specs: BTreeMap::new(),
             archive,
@@ -501,7 +521,10 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             .seed
             .wrapping_add((h as u64).wrapping_mul(HOST_SEED_STRIDE));
         let env = PlatformEnv::with_shared(env_config, self.clock.clone(), self.obs.clone());
-        let mut platform = (self.factory)(env.clone(), &self.config.platform);
+        let factory = &mut self.factory;
+        let (env, mut platform) = self
+            .index
+            .add_host(env, |env| factory(env, &self.config.platform));
         platform.attach_mesh(self.mesh.clone(), HostId::from_index(h));
         self.hosts.push(EHost {
             platform,
@@ -694,22 +717,6 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         true
     }
 
-    /// Current router views: only [`HostPhase::Active`] hosts are
-    /// healthy — booting and draining hosts admit nothing. Fills the
-    /// caller's scratch buffer instead of allocating per decision.
-    fn views_into(&self, function: FunctionId, buf: &mut Vec<HostView>) {
-        buf.clear();
-        buf.extend(self.hosts.iter().enumerate().map(|(id, host)| HostView {
-            id: HostId::from_index(id),
-            healthy: host.phase == HostPhase::Active,
-            inflight: host.inflight.len(),
-            queue_depth: host.waiting.len(),
-            slots: self.config.slots_per_host,
-            queue_cap: self.config.host_queue_cap,
-            residency: host.platform.residency(function),
-        }));
-    }
-
     fn powered_count(&self) -> usize {
         self.hosts.iter().filter(|h| h.phase.is_powered()).count()
     }
@@ -784,7 +791,6 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             boot_failures_row: 0,
             boot_give_up: false,
             roots: BTreeMap::new(),
-            views_buf: Vec::new(),
         };
 
         let mut events_processed = 0u64;
@@ -994,19 +1000,22 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             });
             return true;
         }
-        let mut views = std::mem::take(&mut run.views_buf);
-        self.views_into(r.invoke.function, &mut views);
-        let decision = router.route(&r.invoke, &views);
-        let (host, rebalanced) = match decision {
-            Route::Host(h) => (h.index(), false),
-            Route::Fallback(h) => (h.index(), true),
-            Route::Defer => {
-                run.views_buf = views;
-                return false;
-            }
+        let hosts = &self.hosts;
+        let fleet = IndexedFleet {
+            hosts,
+            holders: self.index.refresh(r.invoke.function, |h, f| {
+                hosts[h.index()].platform.residency(f)
+            }),
+            slots: self.config.slots_per_host,
+            queue_cap: self.config.host_queue_cap,
         };
-        debug_assert!(views[host].has_capacity(), "router picked a full host");
-        run.views_buf = views;
+        let (host, rebalanced) = match router.route_fleet(&r.invoke, &fleet) {
+            Route::Host(h) => (h, false),
+            Route::Fallback(h) => (h, true),
+            Route::Defer => return false,
+        };
+        debug_assert!(fleet.view(host).has_capacity(), "router picked a full host");
+        let host = host.index();
         if rebalanced || rerouted_from.is_some() {
             run.stats.rebalances += 1;
             self.obs.metrics().inc("elastic.rebalances", &[]);

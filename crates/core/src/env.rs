@@ -1,6 +1,6 @@
 //! Shared host services for one simulated machine.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use fireworks_guestmem::HostMemory;
@@ -11,6 +11,8 @@ use fireworks_obs::Obs;
 use fireworks_sim::fault::{self, FaultInjector, FaultPlan, SharedInjector};
 use fireworks_sim::{Clock, CostModel};
 use fireworks_store::{DocumentStore, StoreCosts};
+
+use crate::symbols::{FunctionId, HostId};
 
 /// Host configuration for one experiment.
 #[derive(Debug, Clone)]
@@ -64,6 +66,71 @@ pub struct PlatformEnv {
     /// The host's observability plane (span recorder + metrics registry),
     /// shared by every service and platform on this host.
     pub obs: Obs,
+    /// The host's residency journal, wired up by the cluster that owns
+    /// the host (inert elsewhere).
+    pub residency: ResidencyJournal,
+}
+
+/// Where every wired host's journal writes: `(host, function)` pairs
+/// whose residency answer may have changed, in the order they changed.
+pub(crate) type JournalSink = Rc<RefCell<Vec<(HostId, FunctionId)>>>;
+
+/// How a platform tells its cluster's routing index that its
+/// [`crate::api::ConcurrentPlatform::residency`] answer may have changed.
+///
+/// The contract, for platform authors:
+///
+/// - Opt in once, at construction, with [`ResidencyJournal::track`].
+/// - Then call [`ResidencyJournal::changed`] at *every* point where
+///   `residency(f)` may answer differently afterwards: install, cold
+///   start, eviction (LRU or explicit), retirement, prewarm, delta fetch.
+///   A missed call leaves the index stale and the router misplaces
+///   requests; a spurious call only costs one re-probe.
+/// - A platform that does not opt in is re-probed for the routed
+///   function at every routing decision instead — always correct, but
+///   O(hosts) per request.
+///
+/// Outside a cluster the journal records nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ResidencyJournal {
+    inner: Rc<JournalInner>,
+}
+
+#[derive(Debug, Default)]
+struct JournalInner {
+    tracked: Cell<bool>,
+    /// This host's id and the cluster's sink; `None` outside a cluster.
+    sink: Option<(HostId, JournalSink)>,
+}
+
+impl ResidencyJournal {
+    /// A journal for host `host` writing into `sink`.
+    pub(crate) fn wired(host: HostId, sink: JournalSink) -> Self {
+        ResidencyJournal {
+            inner: Rc::new(JournalInner {
+                tracked: Cell::new(false),
+                sink: Some((host, sink)),
+            }),
+        }
+    }
+
+    /// Opts the platform in: from now on it journals every residency
+    /// change, so the cluster stops re-probing it per decision.
+    pub fn track(&self) {
+        self.inner.tracked.set(true);
+    }
+
+    /// Whether the platform opted in.
+    pub(crate) fn is_tracked(&self) -> bool {
+        self.inner.tracked.get()
+    }
+
+    /// Records that `residency(function)` may have changed.
+    pub fn changed(&self, function: FunctionId) {
+        if let Some((host, sink)) = &self.inner.sink {
+            sink.borrow_mut().push((*host, function));
+        }
+    }
 }
 
 impl PlatformEnv {
@@ -106,6 +173,7 @@ impl PlatformEnv {
             net,
             injector,
             obs,
+            residency: ResidencyJournal::default(),
         }
     }
 
@@ -139,6 +207,21 @@ mod tests {
             env2.clock.now() - before,
             fireworks_sim::Nanos::from_millis(5)
         );
+    }
+
+    #[test]
+    fn journal_records_only_when_wired() {
+        let f = crate::symbols::fid("env-journal");
+        let env = PlatformEnv::default_env();
+        env.residency.track();
+        env.residency.changed(f);
+        let sink = JournalSink::default();
+        let wired = ResidencyJournal::wired(HostId::from_index(3), sink.clone());
+        wired.clone().changed(f);
+        assert_eq!(*sink.borrow(), vec![(HostId::from_index(3), f)]);
+        assert!(!wired.is_tracked());
+        wired.clone().track();
+        assert!(wired.is_tracked(), "clones share the opt-in");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use api::{
     Platform, PlatformError, SnapshotResidency, StartKind, StartMode,
 };
 pub use cluster::{
-    Cluster, ClusterCompletion, ClusterConfig, ClusterReport, HostView, LeastLoaded,
+    Cluster, ClusterCompletion, ClusterConfig, ClusterReport, FleetQuery, HostView, LeastLoaded,
     LocalityAffinity, RoundRobin, Route, Router,
 };
 pub use config::{
@@ -57,7 +57,7 @@ pub use elastic::{
 pub use engine::{
     run_concurrent, CompletionPolicy, EngineCompletion, EngineConfig, EngineReport, EngineRequest,
 };
-pub use env::PlatformEnv;
+pub use env::{PlatformEnv, ResidencyJournal};
 pub use fireworks::{FireworksPlatform, FunctionHealth, ResidentClone};
 pub use mesh::{ChunkMesh, DonorInfo, SharedChunkMesh};
 pub use symbols::{fid, FunctionId, HostId, IdMap, SymbolTable};
