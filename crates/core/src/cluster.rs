@@ -20,12 +20,23 @@
 //! [`LocalityAffinity`] implements that policy; `cluster_sweep` measures
 //! it against [`RoundRobin`] and [`LeastLoaded`].
 //!
+//! # The fixed fleet
+//!
+//! A [`Cluster`] is the [fleet kernel](crate::fleet) with no control
+//! plane: a fixed host count, no events beyond arrivals and completions.
+//! The kernel owns the host table, the event loop, dispatch, service,
+//! host failure and the conservation check; the
+//! [`ElasticCluster`](crate::elastic::ElasticCluster) runs the same loop
+//! with a control plane on top. This module holds what is specific to
+//! placement: the [`Router`] policies and what they see.
+//!
 //! # Routing index
 //!
-//! A routing decision costs O(holders), not O(hosts): the cluster keeps
+//! A routing decision costs O(holders), not O(hosts): the kernel keeps
 //! a per-function list of holders, fed by the hosts'
-//! [`ResidencyJournal`]s, and routers read it through [`FleetQuery`].
-//! Hosts whose platform does not journal are re-probed per decision.
+//! [`ResidencyJournal`](crate::env::ResidencyJournal)s, and routers read
+//! it through [`FleetQuery`]. Hosts whose platform does not journal are
+//! re-probed per decision.
 //!
 //! # Admission and backpressure
 //!
@@ -40,12 +51,13 @@
 //!
 //! # Host failure
 //!
-//! Arm [`FaultSite::HostCrash`] on the cluster's fault plan and the
-//! per-host injector is checked at every service start on that host. A
-//! firing permanently fails the host: its queued requests drain and
-//! re-route through the router (counted in `cluster.rebalances`),
-//! invocations already in flight still complete (their events are on the
-//! timeline), and if no healthy host remains a request fails with
+//! Arm [`FaultSite::HostCrash`](fireworks_sim::fault::FaultSite) on the
+//! cluster's fault plan and the per-host injector is checked at every
+//! service start on that host. A firing permanently fails the host: its
+//! queued requests drain and re-route through the router (counted in
+//! `cluster.crash_reroutes` and `cluster.rebalances`), invocations
+//! already in flight still complete (their events are on the timeline),
+//! and if no healthy host remains a request fails with
 //! [`PlatformError::HostUnavailable`].
 //!
 //! # Determinism
@@ -57,13 +69,9 @@
 //! inputs produce byte-identical reports for any host count.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Deref, DerefMut};
 
-use fireworks_obs::{cat, Obs, Recorder, SpanContext, SpanId, TraceId};
-use fireworks_sim::engine::EventQueue;
-use fireworks_sim::fault::FaultSite;
-use fireworks_sim::trace::Phase;
-use fireworks_sim::{Clock, Nanos};
+use fireworks_sim::Nanos;
 
 use crate::api::{
     ConcurrentPlatform, FunctionSpec, InstallReport, Invocation, InvokeRequest, PlatformError,
@@ -71,13 +79,9 @@ use crate::api::{
 };
 use crate::config::PlatformConfig;
 use crate::engine::{CompletionPolicy, EngineRequest};
-use crate::env::{EnvConfig, JournalSink, PlatformEnv, ResidencyJournal};
-use crate::mesh::{ChunkMesh, SharedChunkMesh};
-use crate::symbols::{FunctionId, HostId, IdMap};
-
-/// Per-host seed spacing for the derived fault plans (golden-ratio
-/// increment, the SplitMix64 stream constant).
-pub(crate) const HOST_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+use crate::env::{EnvConfig, PlatformEnv};
+use crate::fleet::{Fixed, Fleet, HostPhase};
+use crate::symbols::{FunctionId, HostId};
 
 /// Cluster shape and per-host configuration.
 #[derive(Debug, Clone)]
@@ -423,175 +427,6 @@ impl Router for LocalityAffinity {
     }
 }
 
-/// One row of a cluster's host table, as routing reads it.
-pub(crate) trait HostLoad {
-    /// Whether the host admits requests.
-    fn serving(&self) -> bool;
-    /// Invocations in service.
-    fn inflight(&self) -> usize;
-    /// Requests in the host's admission queue.
-    fn queue_depth(&self) -> usize;
-}
-
-/// The holders of one function: ascending host ids with each one's
-/// non-[`SnapshotResidency::Absent`] residency alongside.
-#[derive(Debug, Default)]
-pub(crate) struct Holders {
-    hosts: Vec<HostId>,
-    residency: Vec<SnapshotResidency>,
-}
-
-impl Holders {
-    fn set(&mut self, h: HostId, residency: SnapshotResidency) {
-        match (self.hosts.binary_search(&h), residency) {
-            (Ok(k), SnapshotResidency::Absent) => {
-                self.hosts.remove(k);
-                self.residency.remove(k);
-            }
-            (Ok(k), r) => self.residency[k] = r,
-            (Err(_), SnapshotResidency::Absent) => {}
-            (Err(k), r) => {
-                self.hosts.insert(k, h);
-                self.residency.insert(k, r);
-            }
-        }
-    }
-
-    fn get(&self, h: HostId) -> SnapshotResidency {
-        self.hosts
-            .binary_search(&h)
-            .map_or(SnapshotResidency::Absent, |k| self.residency[k])
-    }
-
-    /// `(host, residency)` pairs in ascending host order.
-    pub(crate) fn pairs(&self) -> Vec<(HostId, SnapshotResidency)> {
-        self.hosts
-            .iter()
-            .copied()
-            .zip(self.residency.iter().copied())
-            .collect()
-    }
-}
-
-/// The routing index: which hosts hold each function's start artifact,
-/// kept current from the hosts' [`ResidencyJournal`]s.
-///
-/// Before each routing decision the owning cluster calls
-/// [`HolderIndex::refresh`], which re-probes only the `(host, function)`
-/// pairs the journals named since the last call — plus, for the routed
-/// function, every host whose platform did not opt into the journal.
-pub(crate) struct HolderIndex {
-    sink: JournalSink,
-    /// The sink's contents being applied (swapped out, so the buffer is
-    /// reused and probes may journal without a borrow conflict).
-    pending: Vec<(HostId, FunctionId)>,
-    /// Hosts joined so far (ids `0..hosts`).
-    hosts: usize,
-    /// Hosts whose platform did not opt in, re-probed per decision.
-    unjournaled: Vec<HostId>,
-    holders: IdMap<Holders>,
-}
-
-impl HolderIndex {
-    pub(crate) fn new() -> Self {
-        HolderIndex {
-            sink: JournalSink::default(),
-            pending: Vec::new(),
-            hosts: 0,
-            unjournaled: Vec::new(),
-            holders: IdMap::new(),
-        }
-    }
-
-    /// Adds the next host: wires its journal into `env` before `build`
-    /// makes its platform (so the journal sees the platform's whole
-    /// life), then notes whether the platform opted in. Returns the
-    /// wired environment and the platform.
-    pub(crate) fn add_host<P>(
-        &mut self,
-        mut env: PlatformEnv,
-        build: impl FnOnce(PlatformEnv) -> P,
-    ) -> (PlatformEnv, P) {
-        let h = HostId::from_index(self.hosts);
-        env.residency = ResidencyJournal::wired(h, self.sink.clone());
-        let platform = build(env.clone());
-        if !env.residency.is_tracked() {
-            self.unjournaled.push(h);
-        }
-        self.hosts += 1;
-        (env, platform)
-    }
-
-    /// Brings `function`'s holders up to date, with `probe` answering a
-    /// host's current residency, and returns them.
-    pub(crate) fn refresh(
-        &mut self,
-        function: FunctionId,
-        probe: impl Fn(HostId, FunctionId) -> SnapshotResidency,
-    ) -> &Holders {
-        std::mem::swap(&mut self.pending, &mut self.sink.borrow_mut());
-        for (h, f) in self.pending.drain(..) {
-            let residency = probe(h, f);
-            holders_mut(&mut self.holders, f).set(h, residency);
-        }
-        let entry = holders_mut(&mut self.holders, function);
-        for &h in &self.unjournaled {
-            entry.set(h, probe(h, function));
-        }
-        // Exactness: a platform that opted in but missed a journal call
-        // shows up here, in every debug-build cluster run.
-        #[cfg(debug_assertions)]
-        for h in (0..self.hosts).map(HostId::from_index) {
-            assert_eq!(
-                entry.get(h),
-                probe(h, function),
-                "routing index is stale for {function} on host {h}: \
-                 its platform changed residency without journaling it"
-            );
-        }
-        entry
-    }
-}
-
-fn holders_mut(holders: &mut IdMap<Holders>, f: FunctionId) -> &mut Holders {
-    if !holders.contains(f) {
-        holders.insert(f, Holders::default());
-    }
-    holders.get_mut(f).expect("inserted above")
-}
-
-/// A [`FleetQuery`] over a cluster's host table and one function's
-/// holders.
-pub(crate) struct IndexedFleet<'a, H> {
-    pub(crate) hosts: &'a [H],
-    pub(crate) holders: &'a Holders,
-    pub(crate) slots: usize,
-    pub(crate) queue_cap: usize,
-}
-
-impl<H: HostLoad> FleetQuery for IndexedFleet<'_, H> {
-    fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
-    fn view(&self, h: HostId) -> HostView {
-        let host = &self.hosts[h.index()];
-        HostView {
-            id: h,
-            healthy: host.serving(),
-            inflight: host.inflight(),
-            queue_depth: host.queue_depth(),
-            slots: self.slots,
-            queue_cap: self.queue_cap,
-            residency: self.holders.get(h),
-        }
-    }
-
-    fn holders(&self) -> &[HostId] {
-        &self.holders.hosts
-    }
-}
-
 /// FNV-1a over the function name: a stable hash (unlike `DefaultHasher`,
 /// which is randomly keyed per process) so home-host assignment is
 /// deterministic across runs.
@@ -675,65 +510,30 @@ pub struct ClusterReport<T> {
     pub crash_reroutes: u64,
 }
 
-struct Host<P: ConcurrentPlatform> {
-    platform: P,
-    env: PlatformEnv,
-    healthy: bool,
-    free: usize,
-    waiting: VecDeque<usize>,
-    inflight: BTreeMap<usize, P::InFlight>,
-    /// Preformatted host-index label for metrics.
-    label: String,
-    /// Pre-resolved `engine.inflight{host=..}` gauge handle.
-    g_inflight: fireworks_obs::Gauge,
-    /// Pre-resolved `engine.queue_depth{host=..}` gauge handle.
-    g_queue_depth: fireworks_obs::Gauge,
-}
-
-impl<P: ConcurrentPlatform> HostLoad for Host<P> {
-    fn serving(&self) -> bool {
-        self.healthy
-    }
-
-    fn inflight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.waiting.len()
-    }
-}
-
-enum Event {
-    Arrive(usize),
-    Complete { host: usize, index: usize },
-}
-
-/// N per-host platforms on one virtual timeline, driven by a [`Router`].
+/// N per-host platforms on one virtual timeline, driven by a [`Router`]:
+/// the [fleet kernel](crate::fleet) with no control plane.
+///
+/// It schedules no event beyond arrivals and completions, its hosts are
+/// [`HostPhase::Active`] until they crash, and a request with no serving
+/// host left fails with [`PlatformError::HostUnavailable`]. It
+/// dereferences to its [`Fleet`] for the accessors both fleets share
+/// ([`Fleet::host`], [`Fleet::obs`], [`Fleet::events_processed`], …).
 pub struct Cluster<P: ConcurrentPlatform> {
-    clock: Clock,
-    obs: Obs,
-    config: ClusterConfig,
-    hosts: Vec<Host<P>>,
-    /// Alive-host count, maintained incrementally so the per-event gauge
-    /// sample never scans the host table.
-    healthy_hosts: usize,
-    /// Cluster-wide invocations currently in service, maintained
-    /// incrementally (same reason).
-    inflight_total: usize,
-    /// Simulator events processed by [`Cluster::run`] across this
-    /// cluster's lifetime (arrivals + completions).
-    events_processed: u64,
-    /// Pre-resolved cluster-wide gauge handles.
-    g_hosts: fireworks_obs::Gauge,
-    g_inflight: fireworks_obs::Gauge,
-    g_queue_depth: fireworks_obs::Gauge,
-    /// Cluster-wide chunk mesh (content-addressed snapshot distribution).
-    /// Every host is attached at construction; platforms without a chunk
-    /// store ignore it.
-    mesh: SharedChunkMesh,
-    /// Which hosts hold each function's start artifact.
-    index: HolderIndex,
+    fleet: Fleet<P>,
+}
+
+impl<P: ConcurrentPlatform> Deref for Cluster<P> {
+    type Target = Fleet<P>;
+
+    fn deref(&self) -> &Fleet<P> {
+        &self.fleet
+    }
+}
+
+impl<P: ConcurrentPlatform> DerefMut for Cluster<P> {
+    fn deref_mut(&mut self) -> &mut Fleet<P> {
+        &mut self.fleet
+    }
 }
 
 impl<P: ConcurrentPlatform> Cluster<P> {
@@ -752,108 +552,25 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         mut factory: impl FnMut(PlatformEnv, &PlatformConfig) -> P,
     ) -> Self {
         assert!(config.hosts > 0, "need at least one host");
-        assert!(config.slots_per_host > 0, "need at least one slot per host");
-        let clock = Clock::new();
-        let obs = Obs::new(clock.clone());
-        let mesh = ChunkMesh::shared();
-        let mut index = HolderIndex::new();
-        let hosts: Vec<Host<P>> = (0..config.hosts)
-            .map(|h| {
-                let mut env_config = config.env.clone();
-                env_config.fault_plan.seed = env_config
-                    .fault_plan
-                    .seed
-                    .wrapping_add((h as u64).wrapping_mul(HOST_SEED_STRIDE));
-                let env = PlatformEnv::with_shared(env_config, clock.clone(), obs.clone());
-                let (env, mut platform) = index.add_host(env, |env| factory(env, &config.platform));
-                platform.attach_mesh(mesh.clone(), HostId::from_index(h));
-                let label = h.to_string();
-                let m = obs.metrics();
-                let host_labels: &[(&'static str, &str)] = &[("host", &label)];
-                let g_inflight = m.gauge("engine.inflight", host_labels);
-                let g_queue_depth = m.gauge("engine.queue_depth", host_labels);
-                Host {
-                    platform,
-                    env,
-                    healthy: true,
-                    free: config.slots_per_host,
-                    waiting: VecDeque::new(),
-                    inflight: BTreeMap::new(),
-                    label,
-                    g_inflight,
-                    g_queue_depth,
-                }
-            })
-            .collect();
-        let healthy_hosts = hosts.len();
-        let m = obs.metrics();
-        let g_hosts = m.gauge("cluster.hosts", &[]);
-        let g_inflight = m.gauge("cluster.inflight", &[]);
-        let g_queue_depth = m.gauge("cluster.queue_depth", &[]);
-        Cluster {
-            clock,
-            obs,
-            config,
-            hosts,
-            healthy_hosts,
-            inflight_total: 0,
-            events_processed: 0,
-            g_hosts,
-            g_inflight,
-            g_queue_depth,
-            mesh,
-            index,
+        let mut fleet = Fleet::new(
+            config.slots_per_host,
+            config.host_queue_cap,
+            config.env,
+            config.platform,
+            config.completion,
+        );
+        for _ in 0..config.hosts {
+            fleet.add_host(HostPhase::Active, &mut factory);
         }
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// The shared observability plane.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Number of hosts (alive or crashed).
-    pub fn len(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Whether the cluster has no hosts (never true: construction
-    /// requires at least one).
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
-    /// Host `h`'s platform.
-    pub fn host(&self, h: HostId) -> &P {
-        &self.hosts[h.index()].platform
-    }
-
-    /// Host `h`'s platform, mutably.
-    pub fn host_mut(&mut self, h: HostId) -> &mut P {
-        &mut self.hosts[h.index()].platform
-    }
-
-    /// Host `h`'s environment (its RAM, bus, store, injector, …).
-    pub fn host_env(&self, h: HostId) -> &PlatformEnv {
-        &self.hosts[h.index()].env
-    }
-
-    /// Simulator events (arrivals + completions) processed by
-    /// [`Cluster::run`] so far — the denominator of the events/sec
-    /// throughput metric the sweeps report.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        Cluster { fleet }
     }
 
     /// Installs a function on every host (each host needs its own
     /// snapshot to restore from). Returns per-host reports in host
     /// order.
     pub fn install(&mut self, spec: &FunctionSpec) -> Result<Vec<InstallReport>, PlatformError> {
-        self.hosts
+        self.fleet
+            .hosts
             .iter_mut()
             .map(|host| host.platform.install(spec))
             .collect()
@@ -865,9 +582,9 @@ impl<P: ConcurrentPlatform> Cluster<P> {
     /// first time a request lands on them; on a flat cluster they rebuild
     /// from source. Returns the home host's report.
     pub fn install_home(&mut self, spec: &FunctionSpec) -> Result<InstallReport, PlatformError> {
-        let home = (fnv1a(&spec.name) % self.hosts.len() as u64) as usize;
+        let home = (fnv1a(&spec.name) % self.fleet.len() as u64) as usize;
         let mut report = None;
-        for (h, host) in self.hosts.iter_mut().enumerate() {
+        for (h, host) in self.fleet.hosts.iter_mut().enumerate() {
             if h == home {
                 report = Some(host.platform.install(spec)?);
             } else {
@@ -875,22 +592,6 @@ impl<P: ConcurrentPlatform> Cluster<P> {
             }
         }
         Ok(report.expect("home host is in range"))
-    }
-
-    /// The cluster's chunk mesh.
-    pub fn mesh(&self) -> &SharedChunkMesh {
-        &self.mesh
-    }
-
-    /// The routing index's holders of `function`, in host order, after
-    /// applying every residency change journaled so far — what the next
-    /// routing decision for `function` would see. Hosts absent from the
-    /// list hold nothing of it.
-    pub fn holders(&mut self, function: FunctionId) -> Vec<(HostId, SnapshotResidency)> {
-        let hosts = &self.hosts;
-        self.index
-            .refresh(function, |h, f| hosts[h.index()].platform.residency(f))
-            .pairs()
     }
 
     /// Drives `requests` (sorted by arrival) through the cluster under
@@ -904,447 +605,19 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         router: &mut R,
         requests: &[EngineRequest],
     ) -> ClusterReport<P::InFlight> {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival time"
-        );
-        let mut queue: EventQueue<Event> = EventQueue::new();
-        for (i, r) in requests.iter().enumerate() {
-            queue.schedule(r.arrival, Event::Arrive(i));
-        }
-
-        let mut run = RunState {
-            out: {
-                let mut v: Vec<Option<ClusterCompletion>> = Vec::with_capacity(requests.len());
-                v.resize_with(requests.len(), || None);
-                v
-            },
-            cluster_waiting: VecDeque::new(),
-            retained: Vec::new(),
-            rebalances: 0,
-            locality_hits: 0,
-            peak_inflight: 0,
-            peak_host_queue_depth: 0,
-            peak_cluster_queue_depth: 0,
-            failed_hosts: Vec::new(),
-            crash_reroutes: 0,
-            roots: BTreeMap::new(),
-        };
-        let rec = self.obs.recorder().clone();
-
-        while let Some(ev) = queue.pop() {
-            self.clock.warp_to(ev.at);
-            self.events_processed += 1;
-            match ev.event {
-                Event::Arrive(i) => {
-                    // Admission mints the request's trace: one detached
-                    // root span per request, so spans from interleaved
-                    // requests (and hosts) never adopt each other.
-                    let trace = rec.next_trace_id();
-                    let root = rec.start_detached("request", cat::INVOKE, trace);
-                    rec.attr(root, "function", &*requests[i].invoke.function.name());
-                    run.roots.insert(i, (trace, root));
-                    if !self.dispatch(router, requests, i, None, &mut run, &mut queue) {
-                        run.cluster_waiting.push_back(i);
-                    }
-                }
-                Event::Complete { host, index } => {
-                    if let Some(token) = self.hosts[host].inflight.remove(&index) {
-                        self.inflight_total -= 1;
-                        match self.config.completion {
-                            CompletionPolicy::Release => {
-                                self.hosts[host].platform.finish_invoke(token)
-                            }
-                            CompletionPolicy::Retain => {
-                                run.retained.push((HostId::from_index(host), token))
-                            }
-                        }
-                    }
-                    self.hosts[host].free += 1;
-                    self.touch_host(host, &mut run);
-                    // Drain this host's own queue first (FIFO)…
-                    if self.hosts[host].healthy {
-                        while let Some(next) = self.hosts[host].waiting.pop_front() {
-                            if reject_if_expired(
-                                &mut run,
-                                &rec,
-                                requests,
-                                next,
-                                self.clock.now(),
-                                None,
-                            ) {
-                                continue;
-                            }
-                            self.start_service(router, requests, host, next, &mut run, &mut queue);
-                            break;
-                        }
-                    }
-                    // …then let cluster-queued requests try the router
-                    // again, stopping at the first that still can't place.
-                    while let Some(next) = run.cluster_waiting.pop_front() {
-                        if reject_if_expired(&mut run, &rec, requests, next, self.clock.now(), None)
-                        {
-                            continue;
-                        }
-                        if !self.dispatch(router, requests, next, None, &mut run, &mut queue) {
-                            run.cluster_waiting.push_front(next);
-                            break;
-                        }
-                    }
-                }
-            }
-            self.reap_mesh_dead(router, requests, &mut run, &mut queue);
-            self.sample_gauges(&mut run);
-        }
-
-        // Request conservation: every submitted request — including any
-        // displaced from a crashed host's queue — must have reached a
-        // terminal outcome. A hole here means a crash drain dropped a
-        // request instead of rerouting it.
-        let lost: Vec<usize> = run
-            .out
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            lost.is_empty(),
-            "request conservation violated: requests {lost:?} have no outcome \
-             ({} crash-displaced requests were rerouted, failed hosts: {:?})",
-            run.crash_reroutes,
-            run.failed_hosts,
-        );
-
+        let (completions, tally) = self.fleet.run(&mut Fixed, router, requests);
         ClusterReport {
-            completions: run
-                .out
-                .into_iter()
-                .map(|c| c.expect("checked above"))
-                .collect(),
-            retained: run.retained,
-            peak_inflight: run.peak_inflight,
-            peak_host_queue_depth: run.peak_host_queue_depth,
-            peak_cluster_queue_depth: run.peak_cluster_queue_depth,
-            rebalances: run.rebalances,
-            locality_hits: run.locality_hits,
-            failed_hosts: run.failed_hosts,
-            crash_reroutes: run.crash_reroutes,
+            completions,
+            retained: tally.retained,
+            peak_inflight: tally.peak_inflight,
+            peak_host_queue_depth: tally.peak_host_queue_depth,
+            peak_cluster_queue_depth: tally.peak_cluster_queue_depth,
+            rebalances: tally.rebalances,
+            locality_hits: tally.locality_hits,
+            failed_hosts: tally.failed_hosts,
+            crash_reroutes: tally.crash_reroutes,
         }
     }
-
-    /// Routes request `i` and places it: service, host queue, cluster
-    /// queue, or terminal rejection. Returns `false` only when the
-    /// request was parked on the cluster queue (so drains know to stop).
-    /// `rerouted_from` marks a request displaced by a host crash: its
-    /// placement counts as a rebalance and its terminal failure names
-    /// that host.
-    fn dispatch<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        i: usize,
-        rerouted_from: Option<usize>,
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) -> bool {
-        let now = self.clock.now();
-        let rec = self.obs.recorder().clone();
-        if reject_if_expired(run, &rec, requests, i, now, rerouted_from) {
-            return true;
-        }
-        let r = &requests[i];
-        if let Some(from) = rerouted_from {
-            // A crash displaced this request off host `from`; the router
-            // consult below is a second routing decision on its trace.
-            if let Some(&(_, root)) = run.roots.get(&i) {
-                rec.instant_under(
-                    root,
-                    "rerouted",
-                    cat::ROUTE,
-                    vec![("from_host", from.into())],
-                );
-            }
-        }
-        if self.healthy_hosts == 0 {
-            // Nothing can ever serve this request: the cluster queue
-            // only drains on completions, and completions on dead hosts
-            // don't restore capacity a router could use.
-            if let Some((_, root)) = run.roots.remove(&i) {
-                rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-                rec.attr(root, "rejected", "host_unavailable");
-                rec.end_detached(root);
-            }
-            run.out[i] = Some(ClusterCompletion {
-                index: i,
-                host: rerouted_from.map(HostId::from_index),
-                function: r.invoke.function,
-                arrived: r.arrival,
-                started: now,
-                finished: now,
-                result: Err(PlatformError::HostUnavailable {
-                    function: r.invoke.function.name().to_string(),
-                    host: rerouted_from,
-                }),
-            });
-            return true;
-        }
-        let hosts = &self.hosts;
-        let fleet = IndexedFleet {
-            hosts,
-            holders: self.index.refresh(r.invoke.function, |h, f| {
-                hosts[h.index()].platform.residency(f)
-            }),
-            slots: self.config.slots_per_host,
-            queue_cap: self.config.host_queue_cap,
-        };
-        let (host, rebalanced) = match router.route_fleet(&r.invoke, &fleet) {
-            Route::Host(h) => (h, false),
-            Route::Fallback(h) => (h, true),
-            // The caller parks the request on the cluster queue (front or
-            // back, depending on whether it's a drain or an arrival).
-            Route::Defer => return false,
-        };
-        debug_assert!(fleet.view(host).has_capacity(), "router picked a full host");
-        let host = host.index();
-        if rebalanced || rerouted_from.is_some() {
-            run.rebalances += 1;
-            self.obs.metrics().inc("cluster.rebalances", &[]);
-        }
-        if self.hosts[host].free > 0 {
-            self.start_service(router, requests, host, i, run, queue);
-        } else {
-            self.hosts[host].waiting.push_back(i);
-            self.touch_host(host, run);
-        }
-        true
-    }
-
-    /// Starts request `i` on host `h` at the current instant — unless
-    /// the host's injector fires [`FaultSite::HostCrash`] at this
-    /// service boundary, in which case the host fails and everything it
-    /// was queueing (this request included) re-routes.
-    fn start_service<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        i: usize,
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let crashed = self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::HostCrash);
-        if crashed {
-            self.crash_host(router, requests, h, i, run, queue);
-            return;
-        }
-        let rec = self.obs.recorder().clone();
-        let host = &mut self.hosts[h];
-        host.free -= 1;
-        let started = self.clock.now();
-        let r = &requests[i];
-        if host.platform.residency(r.invoke.function).is_full() {
-            run.locality_hits += 1;
-            self.obs.metrics().inc("cluster.locality_hits", &[]);
-        }
-        let (trace, root) = run.roots.remove(&i).expect("request admitted");
-        rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, started);
-        // The service span goes on the shared open stack: every span the
-        // host platform records nests under it and inherits the trace.
-        // The flow pair draws the admission → service causal arrow
-        // (rendered as a cross-track arrow in Perfetto).
-        let service = rec.start_under(root, "service", cat::INVOKE);
-        rec.attr(service, "host", h);
-        rec.flow_out(root, trace.raw());
-        rec.flow_in(service, trace.raw());
-        let invoke = r.invoke.clone().with_trace(SpanContext {
-            trace,
-            parent: service,
-        });
-        let result = host.platform.begin_invoke(&invoke);
-        let finished = self.clock.now();
-        rec.end(service);
-        rec.end_detached(root);
-        let result = match result {
-            Ok((invocation, token)) => {
-                host.inflight.insert(i, token);
-                self.inflight_total += 1;
-                Ok(invocation)
-            }
-            Err(e) => Err(e),
-        };
-        run.out[i] = Some(ClusterCompletion {
-            index: i,
-            host: Some(HostId::from_index(h)),
-            function: r.invoke.function,
-            arrived: r.arrival,
-            started,
-            finished,
-            result,
-        });
-        self.touch_host(h, run);
-        queue.schedule(finished, Event::Complete { host: h, index: i });
-    }
-
-    /// Fails host `h` permanently: marks it unhealthy, then re-routes
-    /// `trigger` and every request in its admission queue through the
-    /// router. In-flight invocations on the host finish normally — their
-    /// completion events are already on the timeline.
-    fn crash_host<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        trigger: usize,
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let mut displaced = self.fail_host(h, run);
-        displaced.push_front(trigger);
-        run.crash_reroutes += displaced.len() as u64;
-        self.obs
-            .metrics()
-            .add("cluster.crash_reroutes", &[], displaced.len() as u64);
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
-    }
-
-    /// Marks host `h` failed (metrics, mesh, report) and hands back its
-    /// queued requests for re-routing.
-    fn fail_host(&mut self, h: usize, run: &mut RunState<P::InFlight>) -> VecDeque<usize> {
-        self.hosts[h].healthy = false;
-        self.healthy_hosts -= 1;
-        self.mesh.borrow_mut().mark_dead(HostId::from_index(h));
-        run.failed_hosts.push(HostId::from_index(h));
-        self.obs.metrics().inc(
-            "cluster.host_crashes",
-            &[("host", self.hosts[h].label.as_str())],
-        );
-        self.obs
-            .recorder()
-            .instant(format!("host_crash:{h}"), fireworks_obs::cat::FAULT);
-        let drained = std::mem::take(&mut self.hosts[h].waiting);
-        self.touch_host(h, run);
-        drained
-    }
-
-    /// Fails hosts whose crash was first observed by a peer's delta
-    /// fetch (the mesh marks them dead mid-transfer, before any service
-    /// boundary on the host itself would have drawn the fault). Their
-    /// queued requests drain and re-route exactly like a service-boundary
-    /// crash.
-    fn reap_mesh_dead<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        // Collect first: `fail_host` needs the mesh borrow back.
-        let dead = self.mesh.borrow().dead_hosts();
-        for h in dead {
-            let h = h.index();
-            if !self.hosts.get(h).is_some_and(|host| host.healthy) {
-                continue;
-            }
-            let mut displaced = self.fail_host(h, run);
-            run.crash_reroutes += displaced.len() as u64;
-            if !displaced.is_empty() {
-                self.obs
-                    .metrics()
-                    .add("cluster.crash_reroutes", &[], displaced.len() as u64);
-            }
-            while let Some(i) = displaced.pop_front() {
-                if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                    run.cluster_waiting.push_back(i);
-                }
-            }
-        }
-    }
-
-    /// Publishes host `h`'s gauges after its state changed and advances
-    /// the per-host high-water mark. Called at the mutation sites instead
-    /// of rescanning every host per event: the per-event work is O(hosts
-    /// touched by the event), not O(cluster size).
-    fn touch_host(&self, h: usize, run: &mut RunState<P::InFlight>) {
-        let host = &self.hosts[h];
-        host.g_inflight.set(host.inflight.len() as i64);
-        host.g_queue_depth.set(host.waiting.len() as i64);
-        run.peak_host_queue_depth = run.peak_host_queue_depth.max(host.waiting.len());
-    }
-
-    /// Publishes the cluster-wide gauges at an event boundary, and
-    /// advances the report's high-water marks. O(1): the totals are
-    /// maintained incrementally and the handles are pre-resolved.
-    fn sample_gauges(&self, run: &mut RunState<P::InFlight>) {
-        run.peak_inflight = run.peak_inflight.max(self.inflight_total);
-        run.peak_cluster_queue_depth = run.peak_cluster_queue_depth.max(run.cluster_waiting.len());
-        self.g_hosts.set(self.healthy_hosts as i64);
-        self.g_inflight.set(self.inflight_total as i64);
-        self.g_queue_depth.set(run.cluster_waiting.len() as i64);
-    }
-}
-
-/// Mutable per-run bookkeeping, separated from the cluster so host
-/// borrows and run borrows don't fight.
-struct RunState<T> {
-    out: Vec<Option<ClusterCompletion>>,
-    cluster_waiting: VecDeque<usize>,
-    retained: Vec<(HostId, T)>,
-    rebalances: u64,
-    locality_hits: u64,
-    peak_inflight: usize,
-    peak_host_queue_depth: usize,
-    peak_cluster_queue_depth: usize,
-    failed_hosts: Vec<HostId>,
-    crash_reroutes: u64,
-    // Per-request detached trace roots, opened at arrival and closed at
-    // completion or rejection.
-    roots: BTreeMap<usize, (TraceId, SpanId)>,
-}
-
-/// Rejects request `i` with [`PlatformError::DeadlineExceeded`] if its
-/// deadline has passed at `now`; returns whether it was rejected.
-fn reject_if_expired<T>(
-    run: &mut RunState<T>,
-    rec: &Recorder,
-    requests: &[EngineRequest],
-    i: usize,
-    now: Nanos,
-    rerouted_from: Option<usize>,
-) -> bool {
-    let r = &requests[i];
-    let Some(deadline) = r.invoke.deadline else {
-        return false;
-    };
-    if now <= deadline {
-        return false;
-    }
-    if let Some((_, root)) = run.roots.remove(&i) {
-        rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-        rec.attr(root, "rejected", "deadline");
-        rec.end_detached(root);
-    }
-    run.out[i] = Some(ClusterCompletion {
-        index: i,
-        host: rerouted_from.map(HostId::from_index),
-        function: r.invoke.function,
-        arrived: r.arrival,
-        started: now,
-        finished: now,
-        result: Err(PlatformError::DeadlineExceeded {
-            function: r.invoke.function.name().to_string(),
-            deadline,
-        }),
-    });
-    true
 }
 
 #[cfg(test)]
@@ -1355,7 +628,7 @@ mod tests {
     use crate::symbols::fid;
     use fireworks_lang::Value;
     use fireworks_runtime::RuntimeKind;
-    use fireworks_sim::fault::FaultPlan;
+    use fireworks_sim::fault::{FaultPlan, FaultSite};
 
     fn hid(i: usize) -> HostId {
         HostId::from_index(i)

@@ -4,9 +4,12 @@
 //! The fixed-fleet [`crate::cluster::Cluster`] answers "how does a
 //! cluster of N hosts behave"; this module answers "how many hosts
 //! should be powered *right now*, and how do hosts join and leave
-//! without losing work". An [`ElasticCluster`] owns a growable list of
-//! per-host platforms on one virtual timeline and runs a periodic
-//! control loop that:
+//! without losing work". An [`ElasticCluster`] is the
+//! [fleet kernel](crate::fleet) plus a control plane: the kernel serves
+//! requests exactly as it does for the fixed cluster, and the control
+//! plane adds four events of its own — a periodic control tick, a boot
+//! completing, a drain deadline, and one snapshot hand-off attempt. The
+//! control loop:
 //!
 //! - **scales up** when queue pressure exceeds the policy threshold (or
 //!   a sliding-window arrival predictor sees a rising trend), booting a
@@ -23,6 +26,21 @@
 //!   predictor signal — the archive is just another mesh donor, so
 //!   resurrection is an ordinary delta fetch.
 //!
+//! Unlike the fixed cluster, a request that finds no serving host waits
+//! on the fleet-level queue while capacity is booting or can still be
+//! provisioned.
+//!
+//! # Host lifecycle
+//!
+//! ```text
+//!          BootDone          idle, no pressure          hand-offs done, or
+//! Booting ─────────▶ Active ──────────────────▶ Draining ───────────────────▶ Retired
+//!    │                 │                          │      drain deadline passed
+//!    │ ScaleUpFail     │ HostCrash                │ DrainInterrupt / HostCrash
+//!    ▼                 ▼                          ▼
+//!   Dead              Dead                       Dead
+//! ```
+//!
 //! # Fault model
 //!
 //! Three elasticity-specific fault sites can be armed on the cluster's
@@ -30,8 +48,8 @@
 //! [`FaultSite::HostCrash`]:
 //!
 //! - [`FaultSite::DrainInterrupt`] — the draining host dies before its
-//!   drain completes; the control plane degrades to hard removal and
-//!   reroutes everything it was queueing.
+//!   drain completes; it fails through the kernel's one host-death path
+//!   (counted as a host crash, its queue rerouted).
 //! - [`FaultSite::MigrationStall`] — one snapshot hand-off wedges
 //!   mid-transfer; the receiver retries with exponential virtual-time
 //!   backoff up to [`RecoveryPolicy::max_attempts`], then gives up (the
@@ -55,8 +73,14 @@
 //!
 //! Violations are collected into [`ElasticReport::audit_violations`].
 //! Request conservation — every submitted request reaches a terminal
-//! outcome — is asserted at the end of every run, exactly like the
-//! fixed cluster.
+//! outcome — is asserted by the kernel at the end of every run.
+//!
+//! # Metrics
+//!
+//! Request-serving counters and gauges carry the kernel's `cluster.*`
+//! names, as on the fixed cluster. Control-plane actions count under
+//! `elastic.*` (`elastic.scale_ups`, `elastic.drains`, …), and the
+//! `elastic.hosts` gauge tracks powered hosts.
 //!
 //! # Determinism
 //!
@@ -67,32 +91,29 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use fireworks_guestmem::SnapshotManifest;
-use fireworks_obs::{cat, Obs, SpanContext, SpanId, TraceId};
-use fireworks_sim::engine::EventQueue;
+use fireworks_obs::{cat, Gauge, SpanId};
 use fireworks_sim::fault::{self, FaultInjector, FaultPlan, FaultSite};
-use fireworks_sim::trace::Phase;
-use fireworks_sim::{Clock, Nanos};
+use fireworks_sim::Nanos;
 
 use crate::api::{ConcurrentPlatform, FunctionSpec, PlatformError, StoreAudit};
-use crate::cluster::{
-    ClusterCompletion, FleetQuery, HolderIndex, HostLoad, IndexedFleet, Route, Router,
-    HOST_SEED_STRIDE,
-};
+use crate::cluster::{ClusterCompletion, Router};
 use crate::config::{PlatformConfig, RecoveryPolicy};
-use crate::engine::EngineRequest;
+use crate::engine::{CompletionPolicy, EngineRequest};
 use crate::env::{EnvConfig, PlatformEnv};
-use crate::mesh::{ChunkMesh, SharedChunkMesh};
+pub use crate::fleet::HostPhase;
+use crate::fleet::{Control, Event, Fleet, Run};
 use crate::symbols::{fid, FunctionId, HostId};
 use fireworks_store::ChunkStore;
 
 /// Reserved mesh host id for the scale-to-zero archive store. Chosen
-/// above any realistic host count (and within `u8` so delta fetches can
-/// address the archive as peer `10.42.0.250`), and *above* real ids so
-/// the mesh's lowest-id-first donor selection prefers a live replica
-/// over the archive whenever one exists.
+/// above any realistic elastic host count, and *above* real ids so the
+/// mesh's lowest-id-first donor selection prefers a live replica over
+/// the archive whenever one exists. Only an elastic cluster registers
+/// it; a fixed cluster's host 250 is an ordinary host.
 pub const ARCHIVE_HOST: usize = 250;
 
 /// [`ARCHIVE_HOST`] as a typed mesh id.
@@ -196,34 +217,6 @@ impl ElasticConfig {
     }
 }
 
-/// Lifecycle phase of one elastic host. Ids are never reused, so every
-/// host the cluster ever powered has a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostPhase {
-    /// Provisioning: boot scheduled, not yet admitting.
-    Booting,
-    /// Serving and admitting.
-    Active,
-    /// Admissions stopped; finishing in-flight work and handing hot
-    /// snapshots to survivors.
-    Draining,
-    /// Left gracefully (drain completed or deadline-forced removal).
-    Retired,
-    /// Crashed, or failed to boot. Permanent, like a cluster crash.
-    Dead,
-}
-
-impl HostPhase {
-    /// Whether the host consumes machine-time right now (powered
-    /// phases are what [`ElasticReport::host_time`] integrates).
-    pub fn is_powered(self) -> bool {
-        matches!(
-            self,
-            HostPhase::Booting | HostPhase::Active | HostPhase::Draining
-        )
-    }
-}
-
 /// A consecutive-failure circuit breaker driven by [`RecoveryPolicy`]
 /// thresholds (per-function migration breakers and the scale-up
 /// breaker).
@@ -321,40 +314,9 @@ pub struct ElasticReport {
     pub events_processed: u64,
 }
 
-struct EHost<P: ConcurrentPlatform> {
-    platform: P,
-    env: PlatformEnv,
-    phase: HostPhase,
-    free: usize,
-    waiting: VecDeque<usize>,
-    inflight: BTreeMap<usize, P::InFlight>,
-    idle_ticks: u32,
-    label: String,
-}
-
-impl<P: ConcurrentPlatform> HostLoad for EHost<P> {
-    /// Only [`HostPhase::Active`] hosts admit: booting and draining
-    /// hosts count as unhealthy.
-    fn serving(&self) -> bool {
-        self.phase == HostPhase::Active
-    }
-
-    fn inflight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.waiting.len()
-    }
-}
-
+/// The control plane's events.
 enum Ev {
-    Arrive(usize),
-    Complete {
-        host: usize,
-        index: usize,
-    },
-    ControlTick,
+    Tick,
     BootDone {
         host: usize,
     },
@@ -369,18 +331,10 @@ enum Ev {
     },
 }
 
-/// Per-run bookkeeping, separated from the cluster so host borrows and
-/// run borrows don't fight (same split as the fixed cluster).
-struct ERun {
-    out: Vec<Option<ClusterCompletion>>,
-    cluster_waiting: VecDeque<usize>,
+/// Control-plane state that lives for one run.
+#[derive(Default)]
+struct Epoch {
     stats: ElasticStats,
-    peak_hosts: usize,
-    peak_inflight: usize,
-    peak_cluster_queue_depth: usize,
-    host_time: Nanos,
-    last_sample: Nanos,
-    failed_hosts: Vec<HostId>,
     audit_violations: Vec<String>,
     /// Per-function arrivals in the current control interval.
     tick_counts: BTreeMap<FunctionId, u64>,
@@ -394,29 +348,16 @@ struct ERun {
     pending: BTreeMap<usize, usize>,
     boot_failures_row: u32,
     boot_give_up: bool,
-    /// Per-request detached trace roots, opened at arrival and closed at
-    /// completion or rejection.
-    roots: BTreeMap<usize, (TraceId, SpanId)>,
 }
 
 /// A boxed host-platform constructor, retained by the cluster so the
 /// control plane can stamp out new hosts mid-run.
 pub type HostFactory<P> = Box<dyn FnMut(PlatformEnv, &PlatformConfig) -> P>;
 
-/// A growable fleet of per-host platforms under an elasticity policy.
-///
-/// The factory passed to [`ElasticCluster::new`] is retained so the
-/// control plane can stamp out new hosts mid-run; installed specs are
-/// retained so new hosts can register every function on boot.
-pub struct ElasticCluster<P: ConcurrentPlatform> {
-    clock: Clock,
-    obs: Obs,
-    config: ElasticConfig,
-    hosts: Vec<EHost<P>>,
-    mesh: SharedChunkMesh,
-    /// Which hosts hold each function's start artifact; hosts join it
-    /// as they are created.
-    index: HolderIndex,
+/// The elastic control plane: everything [`ElasticCluster`] adds to
+/// the fleet kernel.
+struct Elastic<P> {
+    policy: ElasticPolicy,
     factory: HostFactory<P>,
     specs: BTreeMap<FunctionId, FunctionSpec>,
     /// The scale-to-zero archive: a cluster-durable chunk store
@@ -432,13 +373,35 @@ pub struct ElasticCluster<P: ConcurrentPlatform> {
     archived: BTreeSet<FunctionId>,
     migration_breakers: BTreeMap<FunctionId, Breaker>,
     scale_up_breaker: Breaker,
-    /// Invocations currently in service across the fleet, maintained
-    /// incrementally so gauge sampling is O(1) per event.
-    inflight_total: usize,
-    g_hosts: fireworks_obs::Gauge,
-    g_active: fireworks_obs::Gauge,
-    g_inflight: fireworks_obs::Gauge,
-    g_queue: fireworks_obs::Gauge,
+    /// The `elastic.hosts` gauge: powered hosts.
+    g_powered: Gauge,
+    epoch: Epoch,
+}
+
+/// A growable fleet of per-host platforms under an elasticity policy.
+///
+/// The factory passed to [`ElasticCluster::new`] is retained so the
+/// control plane can stamp out new hosts mid-run; installed specs are
+/// retained so new hosts can register every function on boot. The
+/// cluster dereferences to its [`Fleet`] for the accessors both fleets
+/// share ([`Fleet::host`], [`Fleet::phase`], [`Fleet::obs`], …).
+pub struct ElasticCluster<P: ConcurrentPlatform> {
+    fleet: Fleet<P>,
+    ctl: Elastic<P>,
+}
+
+impl<P: ConcurrentPlatform> Deref for ElasticCluster<P> {
+    type Target = Fleet<P>;
+
+    fn deref(&self) -> &Fleet<P> {
+        &self.fleet
+    }
+}
+
+impl<P: ConcurrentPlatform> DerefMut for ElasticCluster<P> {
+    fn deref_mut(&mut self) -> &mut Fleet<P> {
+        &mut self.fleet
+    }
 }
 
 impl<P: ConcurrentPlatform> ElasticCluster<P> {
@@ -457,40 +420,38 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         config: ElasticConfig,
         factory: impl FnMut(PlatformEnv, &PlatformConfig) -> P + 'static,
     ) -> Self {
-        assert!(config.policy.min_hosts > 0, "need at least one host");
+        let ElasticConfig {
+            slots_per_host,
+            host_queue_cap,
+            env,
+            platform,
+            policy,
+        } = config;
+        assert!(policy.min_hosts > 0, "need at least one host");
         assert!(
-            config.policy.min_hosts <= config.policy.max_hosts,
+            policy.min_hosts <= policy.max_hosts,
             "min_hosts must not exceed max_hosts"
         );
         assert!(
-            config.policy.max_hosts < ARCHIVE_HOST,
+            policy.max_hosts < ARCHIVE_HOST,
             "max_hosts collides with the archive's reserved mesh id"
         );
-        assert!(config.slots_per_host > 0, "need at least one slot");
-        let clock = Clock::new();
-        let obs = Obs::new(clock.clone());
-        let mesh = ChunkMesh::shared();
-        let mut archive_env_config = config.env.clone();
+        let mut archive_env_config = env.clone();
+        let completion = CompletionPolicy::Release;
+        let mut fleet = Fleet::new(slots_per_host, host_queue_cap, env, platform, completion);
         // The archive never fails: empty plan, disabled injector.
         archive_env_config.fault_plan = FaultPlan::default();
-        let archive_env = PlatformEnv::with_shared(archive_env_config, clock.clone(), obs.clone());
+        let archive_env =
+            PlatformEnv::with_shared(archive_env_config, fleet.clock.clone(), fleet.obs.clone());
         let archive = Rc::new(RefCell::new(ChunkStore::new(archive_env.host_mem.clone())));
-        mesh.borrow_mut().register(
+        fleet.mesh.borrow_mut().register(
             archive_host_id(),
             archive.clone(),
             fault::shared(FaultInjector::disabled()),
         );
-        let g_hosts = obs.metrics().gauge("elastic.hosts", &[]);
-        let g_active = obs.metrics().gauge("elastic.active_hosts", &[]);
-        let g_inflight = obs.metrics().gauge("elastic.inflight", &[]);
-        let g_queue = obs.metrics().gauge("elastic.queue_depth", &[]);
-        let mut cluster = ElasticCluster {
-            clock,
-            obs,
-            config,
-            hosts: Vec::new(),
-            mesh,
-            index: HolderIndex::new(),
+        let g_powered = fleet.obs.metrics().gauge("elastic.hosts", &[]);
+        let mut ctl = Elastic {
+            policy,
             factory: Box::new(factory),
             specs: BTreeMap::new(),
             archive,
@@ -499,90 +460,27 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             archived: BTreeSet::new(),
             migration_breakers: BTreeMap::new(),
             scale_up_breaker: Breaker::default(),
-            inflight_total: 0,
-            g_hosts,
-            g_active,
-            g_inflight,
-            g_queue,
+            g_powered,
+            epoch: Epoch::default(),
         };
-        for _ in 0..cluster.config.policy.min_hosts {
-            let h = cluster.create_host();
-            cluster.hosts[h].phase = HostPhase::Active;
+        for _ in 0..ctl.policy.min_hosts {
+            fleet.add_host(HostPhase::Active, &mut ctl.factory);
         }
-        cluster
-    }
-
-    /// Stamps out one host in [`HostPhase::Booting`] and returns its id.
-    fn create_host(&mut self) -> usize {
-        let h = self.hosts.len();
-        let mut env_config = self.config.env.clone();
-        env_config.fault_plan.seed = env_config
-            .fault_plan
-            .seed
-            .wrapping_add((h as u64).wrapping_mul(HOST_SEED_STRIDE));
-        let env = PlatformEnv::with_shared(env_config, self.clock.clone(), self.obs.clone());
-        let factory = &mut self.factory;
-        let (env, mut platform) = self
-            .index
-            .add_host(env, |env| factory(env, &self.config.platform));
-        platform.attach_mesh(self.mesh.clone(), HostId::from_index(h));
-        self.hosts.push(EHost {
-            platform,
-            env,
-            phase: HostPhase::Booting,
-            free: self.config.slots_per_host,
-            waiting: VecDeque::new(),
-            inflight: BTreeMap::new(),
-            idle_ticks: 0,
-            label: h.to_string(),
-        });
-        h
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// The shared observability plane.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// The cluster's chunk mesh.
-    pub fn mesh(&self) -> &SharedChunkMesh {
-        &self.mesh
-    }
-
-    /// Host `h`'s current lifecycle phase.
-    pub fn phase(&self, h: HostId) -> HostPhase {
-        self.hosts[h.index()].phase
+        ElasticCluster { fleet, ctl }
     }
 
     /// Ids of currently powered hosts (booting, active, or draining),
     /// ascending.
     pub fn powered_hosts(&self) -> Vec<HostId> {
-        self.hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.phase.is_powered())
-            .map(|(id, _)| HostId::from_index(id))
+        (0..self.fleet.len())
+            .map(HostId::from_index)
+            .filter(|&h| self.fleet.phase(h).is_powered())
             .collect()
-    }
-
-    /// Host `h`'s platform.
-    pub fn host(&self, h: HostId) -> &P {
-        &self.hosts[h.index()].platform
-    }
-
-    /// Host `h`'s platform, mutably.
-    pub fn host_mut(&mut self, h: HostId) -> &mut P {
-        &mut self.hosts[h.index()].platform
     }
 
     /// Functions currently scaled to zero (archived, no live replica).
     pub fn archived_functions(&self) -> Vec<FunctionId> {
-        self.archived.iter().copied().collect()
+        self.ctl.archived.iter().copied().collect()
     }
 
     /// Installs `spec` on the lowest-id active host (building its
@@ -591,7 +489,7 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
     /// other hosts pick the snapshot up by delta fetch on first demand.
     pub fn install(&mut self, spec: &FunctionSpec) -> Result<(), PlatformError> {
         let mut installed = false;
-        for host in self.hosts.iter_mut() {
+        for host in self.fleet.hosts.iter_mut() {
             if host.phase != HostPhase::Active {
                 continue;
             }
@@ -603,15 +501,58 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             }
         }
         assert!(installed, "no active host to install on");
-        self.specs.insert(fid(&spec.name), spec.clone());
+        self.ctl.specs.insert(fid(&spec.name), spec.clone());
         Ok(())
     }
 
     /// Runs the cluster's invariant audit now (see the module docs for
     /// the three checks). Empty means consistent.
     pub fn audit(&self) -> Vec<String> {
+        self.ctl.audit(&self.fleet)
+    }
+
+    /// Drives `requests` (sorted by arrival) through the elastic
+    /// cluster under `router` and returns the completions with
+    /// control-plane statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` are not sorted by arrival time, or if any
+    /// request fails to reach a terminal outcome (request-conservation
+    /// violation — a control-plane bug by definition).
+    pub fn run<R: Router + ?Sized>(
+        &mut self,
+        router: &mut R,
+        requests: &[EngineRequest],
+    ) -> ElasticReport {
+        let (completions, tally) = self.fleet.run(&mut self.ctl, router, requests);
+        let epoch = std::mem::take(&mut self.ctl.epoch);
+        let mut audit_violations = epoch.audit_violations;
+        audit_violations.extend(self.audit());
+        ElasticReport {
+            completions,
+            stats: ElasticStats {
+                crash_reroutes: tally.crash_reroutes,
+                rebalances: tally.rebalances,
+                locality_hits: tally.locality_hits,
+                ..epoch.stats
+            },
+            peak_hosts: tally.peak_powered,
+            peak_inflight: tally.peak_inflight,
+            peak_cluster_queue_depth: tally.peak_cluster_queue_depth,
+            host_time: tally.host_time,
+            audit_violations,
+            failed_hosts: tally.failed_hosts,
+            events_processed: tally.events,
+        }
+    }
+}
+
+impl<P: ConcurrentPlatform> Elastic<P> {
+    /// The invariant audit over `fleet` and the archive.
+    fn audit(&self, fleet: &Fleet<P>) -> Vec<String> {
         let mut violations = Vec::new();
-        for (id, host) in self.hosts.iter().enumerate() {
+        for (id, host) in fleet.hosts.iter().enumerate() {
             if !host.phase.is_powered() {
                 continue;
             }
@@ -638,11 +579,11 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
                 .into_iter()
                 .map(|v| format!("archive: {v}")),
         );
-        for id in self.mesh.borrow().alive_hosts() {
+        for id in fleet.mesh.borrow().alive_hosts() {
             if id.index() == ARCHIVE_HOST {
                 continue;
             }
-            let powered = self
+            let powered = fleet
                 .hosts
                 .get(id.index())
                 .is_some_and(|h| h.phase.is_powered());
@@ -655,27 +596,291 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         }
         violations
     }
+}
 
-    fn audit_into(&self, run: &mut ERun) {
-        run.audit_violations.extend(self.audit());
+impl<P: ConcurrentPlatform> Control<P> for Elastic<P> {
+    type Event = Ev;
+
+    fn start<R: Router + ?Sized>(run: &mut Run<'_, P, Self, R>) {
+        run.ctl.epoch = Epoch::default();
+        // Anchor the control loop to the schedule itself: installs may
+        // have advanced the clock far past the first arrival instant.
+        let anchor = run
+            .requests
+            .first()
+            .map_or(run.fleet.clock.now(), |r| r.arrival);
+        let first = anchor + run.ctl.policy.control_interval;
+        run.queue.schedule(first, Event::Control(Ev::Tick));
     }
 
-    /// Copies `name`'s snapshot chunks from a live mesh donor into the
-    /// archive store and publishes the manifest under [`ARCHIVE_HOST`],
-    /// making the archive a resurrection donor. Idempotent: a function
-    /// already archived is not re-ingested (no refcount inflation).
-    /// Returns whether the archive now holds the function. The copy is
-    /// modeled as background replication traffic — it does not charge
-    /// the serving timeline.
+    fn handle<R: Router + ?Sized>(run: &mut Run<'_, P, Self, R>, event: Ev) {
+        match event {
+            Ev::Tick => run.on_tick(),
+            Ev::BootDone { host } => run.on_boot_done(host),
+            Ev::DrainDeadline { host } => run.on_drain_deadline(host),
+            Ev::Migrate {
+                dest,
+                donor,
+                function,
+                attempt,
+            } => run.on_migrate(dest, donor, function, attempt),
+        }
+    }
+
+    fn on_arrive<R: Router + ?Sized>(run: &mut Run<'_, P, Self, R>, i: usize, root: SpanId) {
+        let f = run.requests[i].invoke.function;
+        let epoch = &mut run.ctl.epoch;
+        *epoch.tick_counts.entry(f).or_insert(0) += 1;
+        epoch.last_arrival.insert(f, run.fleet.clock.now());
+        if run.ctl.archived.remove(&f) {
+            // Demand resurrection: the archive (or any later replica)
+            // serves the delta fetch when a host first restores it.
+            epoch.stats.resurrections += 1;
+            run.rec.attr(root, "resurrected", true);
+            let name = f.name();
+            let labels = [("function", &*name)];
+            run.fleet
+                .obs
+                .metrics()
+                .inc("elastic.resurrections", &labels);
+        }
+    }
+
+    /// A request may wait while a boot is in flight or the control loop
+    /// can still provision one.
+    fn can_wait<R: Router + ?Sized>(run: &Run<'_, P, Self, R>) -> bool {
+        run.fleet.count(HostPhase::Booting) > 0
+            || (!run.ctl.epoch.boot_give_up && run.fleet.powered() < run.ctl.policy.max_hosts)
+    }
+
+    /// Only an active host's completion frees capacity the router can
+    /// use; a draining host's may finish its drain.
+    fn on_complete<R: Router + ?Sized>(
+        run: &mut Run<'_, P, Self, R>,
+        h: usize,
+        phase: HostPhase,
+    ) -> bool {
+        if phase == HostPhase::Draining {
+            run.try_finish_drain(h);
+        }
+        phase == HostPhase::Active
+    }
+
+    fn on_host_down<R: Router + ?Sized>(run: &mut Run<'_, P, Self, R>, h: usize) {
+        run.ctl.epoch.pending.remove(&h);
+        run.audit_into();
+    }
+
+    fn sample<R: Router + ?Sized>(run: &Run<'_, P, Self, R>) {
+        run.ctl.g_powered.set(run.fleet.powered() as i64);
+    }
+}
+
+impl<P: ConcurrentPlatform, R: Router + ?Sized> Run<'_, P, Elastic<P>, R> {
+    fn audit_into(&mut self) {
+        let violations = self.ctl.audit(self.fleet);
+        self.ctl.epoch.audit_violations.extend(violations);
+    }
+
+    fn schedule(&mut self, at: Nanos, ev: Ev) {
+        self.queue.schedule(at, Event::Control(ev));
+    }
+
+    /// One control-loop evaluation: predictor update, retirement,
+    /// scale-up, scale-down, queue drain, and rescheduling.
+    fn on_tick(&mut self) {
+        let now = self.fleet.clock.now();
+        let policy = self.ctl.policy.clone();
+        let epoch = &mut self.ctl.epoch;
+
+        // Slide the arrival predictor's window forward one interval.
+        let tick_total: u64 = epoch.tick_counts.values().sum();
+        let counts = std::mem::take(&mut epoch.tick_counts);
+        for (f, n) in &counts {
+            let w = epoch.window.entry(*f).or_default();
+            w.push_back(*n);
+            while w.len() > policy.predictor_window {
+                w.pop_front();
+            }
+        }
+        for (f, w) in epoch.window.iter_mut() {
+            if !counts.contains_key(f) {
+                w.push_back(0);
+                while w.len() > policy.predictor_window {
+                    w.pop_front();
+                }
+            }
+        }
+
+        // Idleness accounting.
+        for host in self.fleet.hosts.iter_mut() {
+            if host.phase == HostPhase::Active
+                && host.inflight.is_empty()
+                && host.waiting.is_empty()
+            {
+                host.idle_ticks += 1;
+            } else {
+                host.idle_ticks = 0;
+            }
+        }
+
+        // Scale-to-zero retirement.
+        if let Some(after) = policy.retire_after {
+            self.retire_idle_functions(after, now);
+        }
+
+        // Scale up on queue pressure (or a rising trend, when the
+        // predictor is armed for proactive capacity).
+        let active = self.fleet.count(HostPhase::Active);
+        let pressure: usize = self.waiting.len()
+            + self
+                .fleet
+                .hosts
+                .iter()
+                .filter(|h| h.phase == HostPhase::Active)
+                .map(|h| h.waiting.len())
+                .sum::<usize>();
+        let overloaded = pressure > policy.scale_up_queue * active.max(1);
+        let starved = active == 0 && pressure > 0;
+        let epoch = &mut self.ctl.epoch;
+        let rising = policy.prewarm
+            && tick_total > epoch.prev_tick_total
+            && tick_total as usize > policy.scale_up_queue;
+        epoch.prev_tick_total = tick_total;
+        if (overloaded || starved || rising)
+            && self.fleet.count(HostPhase::Booting) == 0
+            && self.fleet.powered() < policy.max_hosts
+            && !epoch.boot_give_up
+            && !self.ctl.scale_up_breaker.is_open(now)
+        {
+            let h = self
+                .fleet
+                .add_host(HostPhase::Booting, &mut self.ctl.factory);
+            self.ctl.epoch.stats.scale_ups += 1;
+            self.fleet.obs.metrics().inc("elastic.scale_ups", &[]);
+            self.schedule(now + policy.boot_delay, Ev::BootDone { host: h });
+        }
+
+        // Give up on scale-up after too many consecutive boot failures
+        // with no serving capacity: fail parked admissions fast so the
+        // run terminates under ScaleUpFail = 1.0. With nothing booting
+        // and no provisioning left, every dispatch is terminal.
+        let epoch = &mut self.ctl.epoch;
+        epoch.boot_give_up |= epoch.boot_failures_row >= SCALE_UP_GIVE_UP;
+        if epoch.boot_give_up
+            && self.fleet.count(HostPhase::Active) == 0
+            && self.fleet.count(HostPhase::Booting) == 0
+        {
+            while let Some(i) = self.waiting.pop_front() {
+                let resolved = self.dispatch(i, None);
+                debug_assert!(resolved, "no capacity left to wait for");
+            }
+        }
+
+        // Scale down: drain at most one idle host at a time, highest id
+        // first (the most recently added capacity leaves first). Never
+        // shed capacity while work is queued anywhere — an idle host
+        // next to a backlogged peer is the cluster's catch-up capacity,
+        // and draining it forces a boot (and a snapshot rebuild) the
+        // moment the backlog surfaces as pressure.
+        if self.fleet.count(HostPhase::Draining) == 0
+            && pressure == 0
+            && self.fleet.count(HostPhase::Active) > policy.min_hosts
+        {
+            let victim = self.fleet.hosts.iter().rposition(|h| {
+                h.phase == HostPhase::Active && h.idle_ticks >= policy.scale_down_idle_ticks
+            });
+            if let Some(h) = victim {
+                self.start_drain(h);
+            }
+        }
+
+        self.drain_waiting();
+
+        // Keep ticking while anything still needs the control loop:
+        // unresolved requests, boots, drains, or pending hand-offs.
+        let work_remains = self.out.iter().any(|c| c.is_none())
+            || self.fleet.count(HostPhase::Booting) > 0
+            || self.fleet.count(HostPhase::Draining) > 0
+            || self.ctl.epoch.pending.values().any(|&n| n > 0);
+        if work_remains {
+            self.schedule(now + policy.control_interval, Ev::Tick);
+        }
+    }
+
+    /// Retires functions unseen for longer than `after`: their chunks
+    /// are copied to the archive, then every live replica is dropped.
+    fn retire_idle_functions(&mut self, after: Nanos, now: Nanos) {
+        let mut resident: BTreeSet<FunctionId> = BTreeSet::new();
+        for host in self.fleet.hosts.iter() {
+            if host.phase == HostPhase::Active {
+                resident.extend(host.platform.hot_functions());
+            }
+        }
+        // Functions with outstanding demand — queued anywhere or in
+        // service — are never retirement candidates, even when their
+        // last *arrival* is past the horizon (a backlog served slower
+        // than it arrived would otherwise thrash retire/resurrect).
+        let requests = self.requests;
+        let mut busy: BTreeSet<FunctionId> = BTreeSet::new();
+        for &i in &self.waiting {
+            busy.insert(requests[i].invoke.function);
+        }
+        for host in &self.fleet.hosts {
+            busy.extend(host.waiting.iter().map(|&i| requests[i].invoke.function));
+            busy.extend(host.inflight.keys().map(|&i| requests[i].invoke.function));
+        }
+        for f in resident {
+            if busy.contains(&f) {
+                continue;
+            }
+            let last = self.ctl.epoch.last_arrival.get(&f).copied();
+            if now.saturating_sub(last.unwrap_or(Nanos::ZERO)) <= after {
+                continue;
+            }
+            // Crash safety: the archive copy must exist before any
+            // replica is dropped — a retirement that cannot reach the
+            // archive keeps its live replicas.
+            if !self.archive_function(f) {
+                continue;
+            }
+            let mut any = false;
+            for host in self.fleet.hosts.iter_mut() {
+                if host.phase.is_powered() {
+                    any |= host.platform.retire(f);
+                }
+            }
+            if any {
+                self.ctl.epoch.stats.retired_functions += 1;
+                self.ctl.archived.insert(f);
+                let name = f.name();
+                self.fleet
+                    .obs
+                    .metrics()
+                    .inc("elastic.retired", &[("function", &name)]);
+                self.audit_into();
+            }
+        }
+    }
+
+    /// Copies `function`'s snapshot chunks from a live mesh donor into
+    /// the archive store and publishes the manifest under
+    /// [`ARCHIVE_HOST`], making the archive a resurrection donor.
+    /// Idempotent: a function already archived is not re-ingested (no
+    /// refcount inflation). Returns whether the archive now holds the
+    /// function. The copy is modeled as background replication traffic
+    /// — it does not charge the serving timeline.
     fn archive_function(&mut self, function: FunctionId) -> bool {
-        if self.archive_manifests.contains_key(&function) {
+        let ctl = &mut *self.ctl;
+        if ctl.archive_manifests.contains_key(&function) {
             return true;
         }
-        let Some(donor) = self.mesh.borrow().donor_for(function, archive_host_id()) else {
+        let mesh = &self.fleet.mesh;
+        let Some(donor) = mesh.borrow().donor_for(function, archive_host_id()) else {
             return false;
         };
         {
-            let mut archive = self.archive.borrow_mut();
+            let mut archive = ctl.archive.borrow_mut();
             let missing: BTreeSet<usize> = archive
                 .missing_chunks(&donor.manifest)
                 .into_iter()
@@ -692,780 +897,77 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
                 let frames: Vec<_> = run
                     .iter()
                     .map(|&(page, f)| {
-                        (
-                            page,
-                            self.archive_env
-                                .host_mem
-                                .clone_frame_from(donor_store.host(), f),
-                        )
+                        let host_mem = &ctl.archive_env.host_mem;
+                        (page, host_mem.clone_frame_from(donor_store.host(), f))
                     })
                     .collect();
                 archive.ingest_remote_chunk(chunk.hash, frames);
             }
         }
-        self.mesh.borrow_mut().publish(
+        mesh.borrow_mut().publish(
             archive_host_id(),
             function,
             donor.manifest.clone(),
             donor.template,
         );
-        self.archive_manifests.insert(function, donor.manifest);
+        ctl.archive_manifests.insert(function, donor.manifest);
         let name = function.name();
-        self.obs
+        self.fleet
+            .obs
             .metrics()
             .inc("elastic.archived", &[("function", &name)]);
         true
     }
 
-    fn powered_count(&self) -> usize {
-        self.hosts.iter().filter(|h| h.phase.is_powered()).count()
-    }
-
-    fn active_count(&self) -> usize {
-        self.hosts
-            .iter()
-            .filter(|h| h.phase == HostPhase::Active)
-            .count()
-    }
-
-    fn booting_count(&self) -> usize {
-        self.hosts
-            .iter()
-            .filter(|h| h.phase == HostPhase::Booting)
-            .count()
-    }
-}
-
-impl<P: ConcurrentPlatform> ElasticCluster<P> {
-    /// Drives `requests` (sorted by arrival) through the elastic
-    /// cluster under `router` and returns the completions with
-    /// control-plane statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests` are not sorted by arrival time, or if any
-    /// request fails to reach a terminal outcome (request-conservation
-    /// violation — a control-plane bug by definition).
-    pub fn run<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-    ) -> ElasticReport {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival time"
-        );
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        for (i, r) in requests.iter().enumerate() {
-            queue.schedule(r.arrival, Ev::Arrive(i));
-        }
-        let start = self.clock.now();
-        // Anchor the control loop to the schedule itself: installs may
-        // have advanced the clock far past the first arrival instant.
-        let anchor = requests.first().map_or(start, |r| r.arrival);
-        queue.schedule(
-            anchor + self.config.policy.control_interval,
-            Ev::ControlTick,
-        );
-
-        let mut run = ERun {
-            out: {
-                let mut v: Vec<Option<ClusterCompletion>> = Vec::with_capacity(requests.len());
-                v.resize_with(requests.len(), || None);
-                v
-            },
-            cluster_waiting: VecDeque::new(),
-            stats: ElasticStats::default(),
-            peak_hosts: self.powered_count(),
-            peak_inflight: 0,
-            peak_cluster_queue_depth: 0,
-            host_time: Nanos::ZERO,
-            last_sample: start,
-            failed_hosts: Vec::new(),
-            audit_violations: Vec::new(),
-            tick_counts: BTreeMap::new(),
-            prev_tick_total: 0,
-            window: BTreeMap::new(),
-            last_arrival: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            boot_failures_row: 0,
-            boot_give_up: false,
-            roots: BTreeMap::new(),
-        };
-
-        let mut events_processed = 0u64;
-        while let Some(ev) = queue.pop() {
-            events_processed += 1;
-            // Integrate powered-host machine time up to this event with
-            // the pre-event fleet size.
-            let dt = ev.at.saturating_sub(run.last_sample);
-            run.host_time += dt * self.powered_count() as u64;
-            run.last_sample = ev.at;
-            self.clock.warp_to(ev.at);
-            match ev.event {
-                Ev::Arrive(i) => self.on_arrive(router, requests, i, &mut run, &mut queue),
-                Ev::Complete { host, index } => {
-                    self.on_complete(router, requests, host, index, &mut run, &mut queue)
-                }
-                Ev::ControlTick => self.on_tick(router, requests, &mut run, &mut queue),
-                Ev::BootDone { host } => {
-                    self.on_boot_done(router, requests, host, &mut run, &mut queue)
-                }
-                Ev::DrainDeadline { host } => {
-                    self.on_drain_deadline(router, requests, host, &mut run, &mut queue)
-                }
-                Ev::Migrate {
-                    dest,
-                    donor,
-                    function,
-                    attempt,
-                } => self.on_migrate(dest, donor, function, attempt, &mut run, &mut queue),
-            }
-            self.reap_mesh_dead(router, requests, &mut run, &mut queue);
-            self.sample_gauges(&mut run);
-        }
-
-        self.audit_into(&mut run);
-        let lost: Vec<usize> = run
-            .out
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            lost.is_empty(),
-            "request conservation violated: requests {lost:?} have no outcome \
-             ({} reroutes, failed hosts: {:?})",
-            run.stats.crash_reroutes,
-            run.failed_hosts,
-        );
-
-        ElasticReport {
-            completions: run
-                .out
-                .into_iter()
-                .map(|c| c.expect("checked above"))
-                .collect(),
-            stats: run.stats,
-            peak_hosts: run.peak_hosts,
-            peak_inflight: run.peak_inflight,
-            peak_cluster_queue_depth: run.peak_cluster_queue_depth,
-            host_time: run.host_time,
-            audit_violations: run.audit_violations,
-            failed_hosts: run.failed_hosts,
-            events_processed,
-        }
-    }
-
-    fn on_arrive<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        i: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let f = requests[i].invoke.function;
-        *run.tick_counts.entry(f).or_insert(0) += 1;
-        run.last_arrival.insert(f, self.clock.now());
-        // Admission mints the request's trace: one detached root span
-        // per request, so spans from interleaved requests (and hosts)
-        // never adopt each other.
-        let rec = self.obs.recorder().clone();
-        let trace = rec.next_trace_id();
-        let root = rec.start_detached("request", cat::INVOKE, trace);
-        let name = f.name();
-        rec.attr(root, "function", &*name);
-        run.roots.insert(i, (trace, root));
-        if self.archived.remove(&f) {
-            // Demand resurrection: the archive (or any later replica)
-            // serves the delta fetch when a host first restores it.
-            run.stats.resurrections += 1;
-            rec.attr(root, "resurrected", true);
-            self.obs
-                .metrics()
-                .inc("elastic.resurrections", &[("function", &name)]);
-        }
-        if !self.dispatch(router, requests, i, None, run, queue) {
-            run.cluster_waiting.push_back(i);
-        }
-    }
-
-    fn on_complete<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        index: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if let Some(token) = self.hosts[h].inflight.remove(&index) {
-            self.hosts[h].platform.finish_invoke(token);
-            self.inflight_total -= 1;
-        }
-        self.hosts[h].free += 1;
-        match self.hosts[h].phase {
-            HostPhase::Active => {
-                while let Some(next) = self.hosts[h].waiting.pop_front() {
-                    if self.reject_if_expired(requests, next, run, None) {
-                        continue;
-                    }
-                    self.start_service(router, requests, h, next, run, queue);
-                    break;
-                }
-                self.drain_cluster_queue(router, requests, run, queue);
-            }
-            HostPhase::Draining => self.try_finish_drain(h, run),
-            _ => {}
-        }
-    }
-
-    /// FIFO-drains the cluster admission queue through the router,
-    /// stopping at the first request that still cannot place.
-    fn drain_cluster_queue<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        while let Some(next) = run.cluster_waiting.pop_front() {
-            if self.reject_if_expired(requests, next, run, None) {
-                continue;
-            }
-            if !self.dispatch(router, requests, next, None, run, queue) {
-                run.cluster_waiting.push_front(next);
-                break;
-            }
-        }
-    }
-
-    /// Routes request `i` and places it: service, host queue, cluster
-    /// queue, or terminal rejection. Returns `false` only when the
-    /// request should wait on the cluster queue.
-    fn dispatch<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        i: usize,
-        rerouted_from: Option<usize>,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) -> bool {
-        let now = self.clock.now();
-        if self.reject_if_expired(requests, i, run, rerouted_from) {
-            return true;
-        }
-        let rec = self.obs.recorder().clone();
-        let r = &requests[i];
-        if let Some(from) = rerouted_from {
-            // A crash or drain displaced this request off host `from`;
-            // the router consult below is a second routing decision.
-            if let Some(&(_, root)) = run.roots.get(&i) {
-                rec.instant_under(
-                    root,
-                    "rerouted",
-                    cat::ROUTE,
-                    vec![("from_host", from.into())],
-                );
-            }
-        }
-        if self.active_count() == 0 {
-            // No serving capacity. If capacity is on its way (a boot in
-            // flight) or the control loop can still provision some, the
-            // request waits; otherwise nothing will ever serve it.
-            let can_recover = self.booting_count() > 0
-                || (!run.boot_give_up && self.powered_count() < self.config.policy.max_hosts);
-            if can_recover {
-                return false;
-            }
-            if let Some((_, root)) = run.roots.remove(&i) {
-                rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-                rec.attr(root, "rejected", "host_unavailable");
-                rec.end_detached(root);
-            }
-            run.out[i] = Some(ClusterCompletion {
-                index: i,
-                host: rerouted_from.map(HostId::from_index),
-                function: r.invoke.function,
-                arrived: r.arrival,
-                started: now,
-                finished: now,
-                result: Err(PlatformError::HostUnavailable {
-                    function: r.invoke.function.name().to_string(),
-                    host: rerouted_from,
-                }),
-            });
-            return true;
-        }
-        let hosts = &self.hosts;
-        let fleet = IndexedFleet {
-            hosts,
-            holders: self.index.refresh(r.invoke.function, |h, f| {
-                hosts[h.index()].platform.residency(f)
-            }),
-            slots: self.config.slots_per_host,
-            queue_cap: self.config.host_queue_cap,
-        };
-        let (host, rebalanced) = match router.route_fleet(&r.invoke, &fleet) {
-            Route::Host(h) => (h, false),
-            Route::Fallback(h) => (h, true),
-            Route::Defer => return false,
-        };
-        debug_assert!(fleet.view(host).has_capacity(), "router picked a full host");
-        let host = host.index();
-        if rebalanced || rerouted_from.is_some() {
-            run.stats.rebalances += 1;
-            self.obs.metrics().inc("elastic.rebalances", &[]);
-        }
-        if self.hosts[host].free > 0 {
-            self.start_service(router, requests, host, i, run, queue);
-        } else {
-            self.hosts[host].waiting.push_back(i);
-        }
-        true
-    }
-
-    /// Starts request `i` on host `h` now — unless the host's injector
-    /// fires [`FaultSite::HostCrash`] at this service boundary.
-    fn start_service<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        i: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let crashed = self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::HostCrash);
-        if crashed {
-            self.fail_host_and_reroute(router, requests, h, Some(i), run, queue);
-            return;
-        }
-        let rec = self.obs.recorder().clone();
-        let host = &mut self.hosts[h];
-        host.free -= 1;
-        host.idle_ticks = 0;
-        let started = self.clock.now();
-        let r = &requests[i];
-        if host.platform.residency(r.invoke.function).is_full() {
-            run.stats.locality_hits += 1;
-            self.obs.metrics().inc("elastic.locality_hits", &[]);
-        }
-        let (trace, root) = run.roots.remove(&i).expect("request admitted");
-        rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, started);
-        // The service span goes on the shared open stack: every span the
-        // host platform records nests under it and inherits the trace.
-        // The flow pair draws the admission → service causal arrow.
-        let service = rec.start_under(root, "service", cat::INVOKE);
-        rec.attr(service, "host", h);
-        rec.flow_out(root, trace.raw());
-        rec.flow_in(service, trace.raw());
-        let invoke = r.invoke.clone().with_trace(SpanContext {
-            trace,
-            parent: service,
-        });
-        let result = host.platform.begin_invoke(&invoke);
-        let finished = self.clock.now();
-        rec.end(service);
-        rec.end_detached(root);
-        let result = match result {
-            Ok((invocation, token)) => {
-                host.inflight.insert(i, token);
-                self.inflight_total += 1;
-                Ok(invocation)
-            }
-            Err(e) => Err(e),
-        };
-        run.out[i] = Some(ClusterCompletion {
-            index: i,
-            host: Some(HostId::from_index(h)),
-            function: r.invoke.function,
-            arrived: r.arrival,
-            started,
-            finished,
-            result,
-        });
-        queue.schedule(finished, Ev::Complete { host: h, index: i });
-    }
-
-    /// Fails host `h` permanently (crash or drain interrupt): marks it
-    /// dead in the mesh, cancels its pending hand-offs, and reroutes
-    /// `trigger` plus everything in its admission queue. In-flight
-    /// invocations still complete — their events are on the timeline.
-    fn fail_host_and_reroute<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        trigger: Option<usize>,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        self.hosts[h].phase = HostPhase::Dead;
-        self.hosts[h].idle_ticks = 0;
-        self.mesh.borrow_mut().mark_dead(HostId::from_index(h));
-        run.pending.remove(&h);
-        run.failed_hosts.push(HostId::from_index(h));
-        self.obs.metrics().inc(
-            "elastic.host_crashes",
-            &[("host", self.hosts[h].label.as_str())],
-        );
-        self.obs
-            .recorder()
-            .instant(format!("host_crash:{h}"), fireworks_obs::cat::FAULT);
-        let mut displaced = std::mem::take(&mut self.hosts[h].waiting);
-        if let Some(t) = trigger {
-            displaced.push_front(t);
-        }
-        run.stats.crash_reroutes += displaced.len() as u64;
-        if !displaced.is_empty() {
-            self.obs
-                .metrics()
-                .add("elastic.crash_reroutes", &[], displaced.len() as u64);
-        }
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
-        self.audit_into(run);
-    }
-
-    /// Fails hosts whose crash was first observed by a peer's delta
-    /// fetch (the mesh marked them dead mid-transfer).
-    fn reap_mesh_dead<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let dead = self.mesh.borrow().dead_hosts();
-        for h in dead {
-            let h = h.index();
-            if h == ARCHIVE_HOST {
-                continue;
-            }
-            if !self
-                .hosts
-                .get(h)
-                .is_some_and(|host| host.phase.is_powered())
-            {
-                continue;
-            }
-            self.fail_host_and_reroute(router, requests, h, None, run, queue);
-        }
-    }
-
-    fn sample_gauges(&self, run: &mut ERun) {
-        let powered = self.powered_count();
-        run.peak_inflight = run.peak_inflight.max(self.inflight_total);
-        run.peak_cluster_queue_depth = run.peak_cluster_queue_depth.max(run.cluster_waiting.len());
-        run.peak_hosts = run.peak_hosts.max(powered);
-        self.g_hosts.set(powered as i64);
-        self.g_active.set(self.active_count() as i64);
-        self.g_inflight.set(self.inflight_total as i64);
-        self.g_queue.set(run.cluster_waiting.len() as i64);
-    }
-
-    /// Rejects request `i` with [`PlatformError::DeadlineExceeded`] if
-    /// its deadline passed; returns whether it was rejected.
-    fn reject_if_expired(
-        &self,
-        requests: &[EngineRequest],
-        i: usize,
-        run: &mut ERun,
-        rerouted_from: Option<usize>,
-    ) -> bool {
-        let now = self.clock.now();
-        let r = &requests[i];
-        let Some(deadline) = r.invoke.deadline else {
-            return false;
-        };
-        if now <= deadline {
-            return false;
-        }
-        if let Some((_, root)) = run.roots.remove(&i) {
-            let rec = self.obs.recorder();
-            rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-            rec.attr(root, "rejected", "deadline");
-            rec.end_detached(root);
-        }
-        run.out[i] = Some(ClusterCompletion {
-            index: i,
-            host: rerouted_from.map(HostId::from_index),
-            function: r.invoke.function,
-            arrived: r.arrival,
-            started: now,
-            finished: now,
-            result: Err(PlatformError::DeadlineExceeded {
-                function: r.invoke.function.name().to_string(),
-                deadline,
-            }),
-        });
-        true
-    }
-}
-
-impl<P: ConcurrentPlatform> ElasticCluster<P> {
-    /// One control-loop evaluation: predictor update, retirement,
-    /// scale-up, scale-down, queue drain, and rescheduling.
-    fn on_tick<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let now = self.clock.now();
-        let policy = self.config.policy.clone();
-
-        // Slide the arrival predictor's window forward one interval.
-        let tick_total: u64 = run.tick_counts.values().sum();
-        let counts = std::mem::take(&mut run.tick_counts);
-        for (f, n) in &counts {
-            let w = run.window.entry(*f).or_default();
-            w.push_back(*n);
-            while w.len() > policy.predictor_window {
-                w.pop_front();
-            }
-        }
-        for (f, w) in run.window.iter_mut() {
-            if !counts.contains_key(f) {
-                w.push_back(0);
-                while w.len() > policy.predictor_window {
-                    w.pop_front();
-                }
-            }
-        }
-
-        // Idleness accounting.
-        for host in self.hosts.iter_mut() {
-            if host.phase == HostPhase::Active
-                && host.inflight.is_empty()
-                && host.waiting.is_empty()
-            {
-                host.idle_ticks += 1;
-            } else {
-                host.idle_ticks = 0;
-            }
-        }
-
-        // Scale-to-zero retirement.
-        if let Some(after) = policy.retire_after {
-            self.retire_idle_functions(after, now, requests, run);
-        }
-
-        // Scale up on queue pressure (or a rising trend, when the
-        // predictor is armed for proactive capacity).
-        let active = self.active_count();
-        let pressure: usize = run.cluster_waiting.len()
-            + self
-                .hosts
-                .iter()
-                .filter(|h| h.phase == HostPhase::Active)
-                .map(|h| h.waiting.len())
-                .sum::<usize>();
-        let overloaded = pressure > policy.scale_up_queue * active.max(1);
-        let starved = active == 0 && (pressure > 0 || !run.cluster_waiting.is_empty());
-        let rising = policy.prewarm
-            && tick_total > run.prev_tick_total
-            && tick_total as usize > policy.scale_up_queue;
-        run.prev_tick_total = tick_total;
-        if (overloaded || starved || rising)
-            && self.booting_count() == 0
-            && self.powered_count() < policy.max_hosts
-            && !run.boot_give_up
-            && !self.scale_up_breaker.is_open(now)
-        {
-            let h = self.create_host();
-            run.stats.scale_ups += 1;
-            self.obs.metrics().inc("elastic.scale_ups", &[]);
-            queue.schedule(now + policy.boot_delay, Ev::BootDone { host: h });
-        }
-
-        // Give up on scale-up after too many consecutive boot failures
-        // with no serving capacity: fail parked admissions fast so the
-        // run terminates under ScaleUpFail = 1.0.
-        if run.boot_failures_row >= SCALE_UP_GIVE_UP {
-            run.boot_give_up = true;
-        }
-        if run.boot_give_up && self.active_count() == 0 && self.booting_count() == 0 {
-            while let Some(i) = run.cluster_waiting.pop_front() {
-                if self.reject_if_expired(requests, i, run, None) {
-                    continue;
-                }
-                let r = &requests[i];
-                run.out[i] = Some(ClusterCompletion {
-                    index: i,
-                    host: None,
-                    function: r.invoke.function,
-                    arrived: r.arrival,
-                    started: now,
-                    finished: now,
-                    result: Err(PlatformError::HostUnavailable {
-                        function: r.invoke.function.name().to_string(),
-                        host: None,
-                    }),
-                });
-            }
-        }
-
-        // Scale down: drain at most one idle host at a time, highest id
-        // first (the most recently added capacity leaves first). Never
-        // shed capacity while work is queued anywhere — an idle host
-        // next to a backlogged peer is the cluster's catch-up capacity,
-        // and draining it forces a boot (and a snapshot rebuild) the
-        // moment the backlog surfaces as pressure.
-        let draining = self.hosts.iter().any(|h| h.phase == HostPhase::Draining);
-        if !draining && pressure == 0 && self.active_count() > policy.min_hosts {
-            let victim = self
-                .hosts
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, h)| {
-                    h.phase == HostPhase::Active && h.idle_ticks >= policy.scale_down_idle_ticks
-                })
-                .map(|(id, _)| id);
-            if let Some(h) = victim {
-                self.start_drain(router, requests, h, run, queue);
-            }
-        }
-
-        self.drain_cluster_queue(router, requests, run, queue);
-
-        // Keep ticking while anything still needs the control loop:
-        // unresolved requests, boots, drains, or pending hand-offs.
-        let work_remains = run.out.iter().any(|c| c.is_none())
-            || self.booting_count() > 0
-            || self.hosts.iter().any(|h| h.phase == HostPhase::Draining)
-            || run.pending.values().any(|&n| n > 0);
-        if work_remains {
-            queue.schedule(now + policy.control_interval, Ev::ControlTick);
-        }
-    }
-
-    /// Retires functions unseen for longer than `after`: their chunks
-    /// are copied to the archive, then every live replica is dropped.
-    fn retire_idle_functions(
-        &mut self,
-        after: Nanos,
-        now: Nanos,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-    ) {
-        let mut resident: BTreeSet<FunctionId> = BTreeSet::new();
-        for host in self.hosts.iter().filter(|h| h.phase == HostPhase::Active) {
-            resident.extend(host.platform.hot_functions());
-        }
-        // Functions with outstanding demand — queued anywhere or in
-        // service — are never retirement candidates, even when their
-        // last *arrival* is past the horizon (a backlog served slower
-        // than it arrived would otherwise thrash retire/resurrect).
-        let mut busy: BTreeSet<FunctionId> = BTreeSet::new();
-        for &i in &run.cluster_waiting {
-            busy.insert(requests[i].invoke.function);
-        }
-        for host in &self.hosts {
-            busy.extend(host.waiting.iter().map(|&i| requests[i].invoke.function));
-            busy.extend(host.inflight.keys().map(|&i| requests[i].invoke.function));
-        }
-        for f in resident {
-            if busy.contains(&f) {
-                continue;
-            }
-            let last = run.last_arrival.get(&f).copied().unwrap_or(Nanos::ZERO);
-            if now.saturating_sub(last) <= after {
-                continue;
-            }
-            // Crash safety: the archive copy must exist before any
-            // replica is dropped — a retirement that cannot reach the
-            // archive keeps its live replicas.
-            if !self.archive_function(f) {
-                continue;
-            }
-            let mut any = false;
-            for host in self.hosts.iter_mut() {
-                if host.phase.is_powered() {
-                    any |= host.platform.retire(f);
-                }
-            }
-            if any {
-                run.stats.retired_functions += 1;
-                self.archived.insert(f);
-                let name = f.name();
-                self.obs
-                    .metrics()
-                    .inc("elastic.retired", &[("function", &name)]);
-                self.audit_into(run);
-            }
-        }
-    }
-
     /// A scale-up host finishes provisioning — or draws
     /// [`FaultSite::ScaleUpFail`] and dies unprovisioned.
-    fn on_boot_done<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if self.hosts[h].phase != HostPhase::Booting {
+    fn on_boot_done(&mut self, h: usize) {
+        if self.fleet.hosts[h].phase != HostPhase::Booting {
             return;
         }
-        let now = self.clock.now();
-        let failed = self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::ScaleUpFail);
-        if failed {
-            self.hosts[h].phase = HostPhase::Dead;
+        let now = self.fleet.clock.now();
+        let injector = &self.fleet.hosts[h].env.injector;
+        if injector.borrow_mut().should_fail(FaultSite::ScaleUpFail) {
             // The host never served: deregister (no crash record for
             // the reaper — there is nothing to drain).
-            self.mesh.borrow_mut().deregister(HostId::from_index(h));
-            run.failed_hosts.push(HostId::from_index(h));
-            run.stats.scale_up_failures += 1;
-            run.boot_failures_row += 1;
-            self.scale_up_breaker
-                .failure(now, &self.config.policy.migration);
-            self.obs.metrics().inc("elastic.scale_up_failures", &[]);
-            self.obs
-                .recorder()
-                .instant(format!("scale_up_fail:{h}"), fireworks_obs::cat::FAULT);
-            self.audit_into(run);
+            self.bury(h);
+            self.fleet
+                .mesh
+                .borrow_mut()
+                .deregister(HostId::from_index(h));
+            let ctl = &mut *self.ctl;
+            ctl.epoch.stats.scale_up_failures += 1;
+            ctl.epoch.boot_failures_row += 1;
+            ctl.scale_up_breaker.failure(now, &ctl.policy.migration);
+            self.fleet
+                .obs
+                .metrics()
+                .inc("elastic.scale_up_failures", &[]);
+            self.rec.instant(format!("scale_up_fail:{h}"), cat::FAULT);
+            self.audit_into();
             return;
         }
-        self.hosts[h].phase = HostPhase::Active;
-        run.boot_failures_row = 0;
-        self.scale_up_breaker.success();
+        self.fleet.set_phase(h, HostPhase::Active);
+        self.ctl.epoch.boot_failures_row = 0;
+        self.ctl.scale_up_breaker.success();
         // A late joiner must know every installed function.
-        let specs: Vec<FunctionSpec> = self.specs.values().cloned().collect();
-        for spec in &specs {
+        for spec in self.ctl.specs.values() {
             // Registration failures surface on first invocation; a boot
             // must not abort the whole run.
-            let _ = self.hosts[h].platform.register(spec);
+            let _ = self.fleet.hosts[h].platform.register(spec);
         }
-        if self.config.policy.prewarm {
-            self.prewarm_host(h, run);
+        if self.ctl.policy.prewarm {
+            self.prewarm_host(h);
         }
-        self.audit_into(run);
-        self.drain_cluster_queue(router, requests, run, queue);
+        self.audit_into();
+        self.drain_waiting();
     }
 
     /// Prewarms the predictor's hottest functions on host `h`.
-    fn prewarm_host(&mut self, h: usize, run: &mut ERun) {
-        let mut scored: Vec<(u64, FunctionId)> = run
+    fn prewarm_host(&mut self, h: usize) {
+        let mut scored: Vec<(u64, FunctionId)> = self
+            .ctl
+            .epoch
             .window
             .iter()
             .map(|(f, w)| (w.iter().sum::<u64>(), *f))
@@ -1473,20 +975,20 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             .collect();
         scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         for (_, f) in scored.into_iter().take(PREWARM_TOP_K) {
-            if self.hosts[h].platform.prewarm(f) {
-                run.stats.prewarms += 1;
-                let name = f.name();
-                self.obs
-                    .metrics()
-                    .inc("elastic.prewarms", &[("function", &name)]);
-                if self.archived.remove(&f) {
-                    // Predictor-signal resurrection: the prewarm pulled
-                    // an archived function back into live service.
-                    run.stats.resurrections += 1;
-                    self.obs
-                        .metrics()
-                        .inc("elastic.resurrections", &[("function", &name)]);
-                }
+            if !self.fleet.hosts[h].platform.prewarm(f) {
+                continue;
+            }
+            let ctl = &mut *self.ctl;
+            ctl.epoch.stats.prewarms += 1;
+            let name = f.name();
+            let labels = [("function", &*name)];
+            let metrics = self.fleet.obs.metrics();
+            metrics.inc("elastic.prewarms", &labels);
+            if ctl.archived.remove(&f) {
+                // Predictor-signal resurrection: the prewarm pulled an
+                // archived function back into live service.
+                ctl.epoch.stats.resurrections += 1;
+                metrics.inc("elastic.resurrections", &labels);
             }
         }
     }
@@ -1494,153 +996,118 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
     /// Begins a graceful drain of host `h`: stop admitting, displace
     /// its queue, schedule one hand-off per hot function, and arm the
     /// drain deadline.
-    fn start_drain<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let now = self.clock.now();
-        run.stats.drains_started += 1;
-        self.obs
-            .metrics()
-            .inc("elastic.drains", &[("host", self.hosts[h].label.as_str())]);
-        self.hosts[h].phase = HostPhase::Draining;
-        let mut displaced = std::mem::take(&mut self.hosts[h].waiting);
-        run.stats.crash_reroutes += displaced.len() as u64;
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
+    fn start_drain(&mut self, h: usize) {
+        let now = self.fleet.clock.now();
+        self.ctl.epoch.stats.drains_started += 1;
+        let labels = [("host", self.fleet.hosts[h].label.as_str())];
+        self.fleet.obs.metrics().inc("elastic.drains", &labels);
+        self.fleet.set_phase(h, HostPhase::Draining);
+        self.displace(h, None);
         // The drain itself can be interrupted before any hand-off.
-        if self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::DrainInterrupt)
-        {
-            run.stats.drain_interrupts += 1;
-            self.obs.metrics().inc("elastic.drain_interrupts", &[]);
-            self.fail_host_and_reroute(router, requests, h, None, run, queue);
+        let injector = &self.fleet.hosts[h].env.injector;
+        if injector.borrow_mut().should_fail(FaultSite::DrainInterrupt) {
+            self.ctl.epoch.stats.drain_interrupts += 1;
+            self.fleet
+                .obs
+                .metrics()
+                .inc("elastic.drain_interrupts", &[]);
+            self.fail_host(h, None);
             return;
         }
         // Schedule one hand-off per hot function to the cheapest
         // survivor that doesn't already hold it.
-        let hot = self.hosts[h].platform.hot_functions();
+        let hot = self.fleet.hosts[h].platform.hot_functions();
         let mut scheduled = 0usize;
-        for f in hot {
-            let Some(dest) = self.pick_migration_dest(f, h) else {
+        for function in hot {
+            let Some(dest) = self.pick_migration_dest(function, h) else {
                 continue;
             };
-            queue.schedule(
+            self.schedule(
                 now,
                 Ev::Migrate {
                     dest,
                     donor: h,
-                    function: f,
+                    function,
                     attempt: 1,
                 },
             );
             scheduled += 1;
         }
-        run.pending.insert(h, scheduled);
-        queue.schedule(
-            now + self.config.policy.drain_deadline,
-            Ev::DrainDeadline { host: h },
-        );
-        self.try_finish_drain(h, run);
+        self.ctl.epoch.pending.insert(h, scheduled);
+        let deadline = now + self.ctl.policy.drain_deadline;
+        self.schedule(deadline, Ev::DrainDeadline { host: h });
+        self.try_finish_drain(h);
     }
 
     /// The cheapest active host (fewest missing bytes, then load, then
     /// id) that does not already fully hold `function`; `None` when no
     /// active host exists or every one already holds it.
     fn pick_migration_dest(&self, function: FunctionId, donor: usize) -> Option<usize> {
-        self.hosts
+        self.fleet
+            .hosts
             .iter()
             .enumerate()
             .filter(|(id, h)| *id != donor && h.phase == HostPhase::Active)
-            .map(|(id, h)| {
-                let residency = h.platform.residency(function);
-                (residency, h.inflight.len() + h.waiting.len(), id)
-            })
+            .map(|(id, h)| (h.platform.residency(function), h.load(), id))
             .filter(|(residency, _, _)| !residency.is_full())
             .min_by_key(|(residency, load, id)| (residency.missing_bytes(), *load, *id))
             .map(|(_, _, id)| id)
     }
 
     /// One drain-time snapshot hand-off attempt.
-    fn on_migrate(
-        &mut self,
-        dest: usize,
-        donor: usize,
-        function: FunctionId,
-        attempt: u32,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if self.hosts[donor].phase != HostPhase::Draining {
+    fn on_migrate(&mut self, dest: usize, donor: usize, function: FunctionId, attempt: u32) {
+        if self.fleet.hosts[donor].phase != HostPhase::Draining {
             // The drain already ended (deadline, interrupt, crash);
             // nothing left to hand off.
             return;
         }
-        let now = self.clock.now();
-        let policy = self.config.policy.migration.clone();
-        // The donor can die mid-hand-off.
-        if self.hosts[donor]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::DrainInterrupt)
-        {
-            run.stats.drain_interrupts += 1;
-            self.obs.metrics().inc("elastic.drain_interrupts", &[]);
-            run.pending.remove(&donor);
-            // Rerouting of the donor's queue happens in the shared
-            // failure path; the reaper sees the mesh death immediately.
-            self.hosts[donor].phase = HostPhase::Dead;
-            self.mesh.borrow_mut().mark_dead(HostId::from_index(donor));
-            run.failed_hosts.push(HostId::from_index(donor));
-            self.audit_into(run);
+        let now = self.fleet.clock.now();
+        let policy = self.ctl.policy.migration.clone();
+        // The donor can die mid-hand-off: it fails like any host death.
+        let injector = &self.fleet.hosts[donor].env.injector;
+        if injector.borrow_mut().should_fail(FaultSite::DrainInterrupt) {
+            self.ctl.epoch.stats.drain_interrupts += 1;
+            self.fleet
+                .obs
+                .metrics()
+                .inc("elastic.drain_interrupts", &[]);
+            self.fail_host(donor, None);
             return;
         }
-        let breaker = self.migration_breakers.entry(function).or_default();
-        if breaker.is_open(now) {
-            run.stats.migration_failures += 1;
-            self.resolve_handoff(donor, run);
+        if self
+            .ctl
+            .migration_breakers
+            .entry(function)
+            .or_default()
+            .is_open(now)
+        {
+            self.ctl.epoch.stats.migration_failures += 1;
+            self.resolve_handoff(donor);
             return;
         }
         // Re-validate the destination; it may have drained or died
         // since the hand-off was scheduled.
-        let dest = if self.hosts[dest].phase == HostPhase::Active {
+        let dest = if self.fleet.hosts[dest].phase == HostPhase::Active {
             Some(dest)
         } else {
             self.pick_migration_dest(function, donor)
         };
         let Some(dest) = dest else {
-            run.stats.migration_failures += 1;
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .failure(now, &policy);
-            self.resolve_handoff(donor, run);
+            self.migration_failed(function, donor, now, &policy);
             return;
         };
         // The transfer can stall (receiver-side wedge): retry with
         // exponential virtual-time backoff on a re-picked destination.
-        let stalled = self.hosts[dest]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::MigrationStall);
-        if stalled {
-            run.stats.migration_stalls += 1;
-            self.obs.metrics().inc("elastic.migration_stalls", &[]);
+        let injector = &self.fleet.hosts[dest].env.injector;
+        if injector.borrow_mut().should_fail(FaultSite::MigrationStall) {
+            self.ctl.epoch.stats.migration_stalls += 1;
+            self.fleet
+                .obs
+                .metrics()
+                .inc("elastic.migration_stalls", &[]);
             if attempt < policy.max_attempts {
-                run.stats.migration_retries += 1;
-                queue.schedule(
+                self.ctl.epoch.stats.migration_retries += 1;
+                self.schedule(
                     now + policy.backoff(attempt),
                     Ev::Migrate {
                         dest,
@@ -1651,20 +1118,15 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
                 );
                 return;
             }
-            run.stats.migration_failures += 1;
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .failure(now, &policy);
-            self.resolve_handoff(donor, run);
+            self.migration_failed(function, donor, now, &policy);
             return;
         }
         // The hand-off is the mesh's ordinary delta fetch: the
-        // destination prewarns itself from the best donor (usually the
+        // destination prewarms itself from the best donor (usually the
         // draining host — the lowest-id full holder). It gets its own
         // control-plane trace: the delta-fetch spans the prewarm records
         // nest under the hand-off span and inherit the migration trace.
-        let rec = self.obs.recorder().clone();
+        let rec = self.rec.clone();
         let mtrace = rec.next_trace_id();
         let mroot = rec.start_detached("migration", cat::MIGRATE, mtrace);
         let name = function.name();
@@ -1672,98 +1134,93 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         rec.attr(mroot, "donor", donor);
         rec.attr(mroot, "dest", dest);
         let handoff = rec.start_under(mroot, "handoff", cat::MIGRATE);
-        let migrated = self.hosts[dest].platform.prewarm(function);
+        let migrated = self.fleet.hosts[dest].platform.prewarm(function);
         rec.end(handoff);
-        rec.attr(
-            mroot,
-            "outcome",
-            if migrated {
-                "migrated"
-            } else {
-                "rebuild_fallback"
-            },
-        );
-        rec.end_detached(mroot);
-        if migrated {
-            run.stats.migrations += 1;
-            self.obs
-                .metrics()
-                .inc("elastic.migrations", &[("function", &name)]);
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .success();
+        let outcome = if migrated {
+            "migrated"
         } else {
+            "rebuild_fallback"
+        };
+        rec.attr(mroot, "outcome", outcome);
+        rec.end_detached(mroot);
+        if !migrated {
             // No donor qualified (publication raced away): fall back to
             // rebuild-from-source on first demand at the destination.
-            run.stats.migration_failures += 1;
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .failure(now, &policy);
+            self.migration_failed(function, donor, now, &policy);
+            return;
         }
-        self.resolve_handoff(donor, run);
+        self.ctl.epoch.stats.migrations += 1;
+        self.fleet
+            .obs
+            .metrics()
+            .inc("elastic.migrations", &[("function", &name)]);
+        let breaker = self.ctl.migration_breakers.get_mut(&function);
+        breaker.expect("entry created above").success();
+        self.resolve_handoff(donor);
+    }
+
+    /// Abandons one of `donor`'s hand-offs of `function`: counts the
+    /// failure against the function's breaker, and the survivor
+    /// rebuilds on demand instead.
+    fn migration_failed(
+        &mut self,
+        function: FunctionId,
+        donor: usize,
+        now: Nanos,
+        policy: &RecoveryPolicy,
+    ) {
+        self.ctl.epoch.stats.migration_failures += 1;
+        let breaker = self.ctl.migration_breakers.entry(function).or_default();
+        breaker.failure(now, policy);
+        self.resolve_handoff(donor);
     }
 
     /// Marks one of `donor`'s outstanding hand-offs finished and checks
     /// whether the drain can now complete.
-    fn resolve_handoff(&mut self, donor: usize, run: &mut ERun) {
-        if let Some(n) = run.pending.get_mut(&donor) {
+    fn resolve_handoff(&mut self, donor: usize) {
+        if let Some(n) = self.ctl.epoch.pending.get_mut(&donor) {
             *n = n.saturating_sub(1);
         }
-        self.try_finish_drain(donor, run);
+        self.try_finish_drain(donor);
     }
 
     /// Completes a graceful drain once the host has no in-flight work
     /// and no outstanding hand-offs.
-    fn try_finish_drain(&mut self, h: usize, run: &mut ERun) {
-        if self.hosts[h].phase != HostPhase::Draining {
+    fn try_finish_drain(&mut self, h: usize) {
+        let host = &self.fleet.hosts[h];
+        let pending = self.ctl.epoch.pending.get(&h).copied().unwrap_or(0);
+        if host.phase != HostPhase::Draining || !host.inflight.is_empty() || pending > 0 {
             return;
         }
-        if !self.hosts[h].inflight.is_empty() {
-            return;
-        }
-        if run.pending.get(&h).copied().unwrap_or(0) > 0 {
-            return;
-        }
-        run.pending.remove(&h);
-        run.stats.graceful_drains += 1;
-        self.obs.metrics().inc("elastic.graceful_drains", &[]);
-        self.hosts[h].phase = HostPhase::Retired;
-        self.mesh.borrow_mut().deregister(HostId::from_index(h));
-        self.audit_into(run);
+        self.ctl.epoch.pending.remove(&h);
+        self.ctl.epoch.stats.graceful_drains += 1;
+        self.fleet.obs.metrics().inc("elastic.graceful_drains", &[]);
+        self.retire_host(h);
     }
 
     /// The drain deadline fired: if the host is still draining, degrade
     /// to hard removal. Unfinished hand-offs are abandoned (survivors
     /// rebuild on demand); in-flight invocations still complete.
-    fn on_drain_deadline<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if self.hosts[h].phase != HostPhase::Draining {
+    fn on_drain_deadline(&mut self, h: usize) {
+        if self.fleet.hosts[h].phase != HostPhase::Draining {
             return;
         }
-        run.stats.hard_removals += 1;
-        self.obs.metrics().inc("elastic.hard_removals", &[]);
-        run.pending.remove(&h);
-        self.hosts[h].phase = HostPhase::Retired;
-        self.mesh.borrow_mut().deregister(HostId::from_index(h));
-        // A draining host admits nothing, but displaced requests may
-        // have been parked back on its queue before the drain started;
-        // conservation demands they reroute.
-        let mut displaced = std::mem::take(&mut self.hosts[h].waiting);
-        run.stats.crash_reroutes += displaced.len() as u64;
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
-        self.audit_into(run);
+        self.ctl.epoch.stats.hard_removals += 1;
+        self.fleet.obs.metrics().inc("elastic.hard_removals", &[]);
+        self.ctl.epoch.pending.remove(&h);
+        self.retire_host(h);
+    }
+
+    /// Takes host `h` out of the fleet for good — it left, it did not
+    /// crash — and reroutes anything still on its queue.
+    fn retire_host(&mut self, h: usize) {
+        self.fleet.set_phase(h, HostPhase::Retired);
+        self.fleet
+            .mesh
+            .borrow_mut()
+            .deregister(HostId::from_index(h));
+        self.displace(h, None);
+        self.audit_into();
     }
 }
 

@@ -35,6 +35,20 @@ use crate::symbols::{fid, FunctionId, HostId, IdMap};
 /// The guest IP baked into every snapshot (identical across clones —
 /// paper Fig. 5's `A.A.A.A`).
 pub const GUEST_IP: Ip = Ip::new(172, 16, 0, 2);
+/// Host `host`'s address on the cluster network, the peer a delta fetch
+/// from it is charged against: `10.42.<hi>.<lo>` over the host's 16-bit
+/// index, so hosts 0–255 sit at `10.42.0.<index>` and no two hosts
+/// share an address.
+///
+/// # Panics
+///
+/// Panics if the host index is 65 536 or more.
+fn peer_ip(host: HostId) -> Ip {
+    let index = u16::try_from(host.index()).expect("host index below 65 536");
+    let [hi, lo] = index.to_be_bytes();
+    Ip::new(10, 42, hi, lo)
+}
+
 /// The guest MAC baked into every snapshot.
 pub const GUEST_MAC: Mac = Mac([0x06, 0x00, 0xac, 0x10, 0x00, 0x02]);
 /// Tap device name baked into every snapshot.
@@ -428,7 +442,7 @@ impl FireworksPlatform {
         rec.attr(sp, "donor", donor.host.raw() as u64);
 
         let missing = store.borrow().missing_chunks(&donor.manifest);
-        let peer = Ip::new(10, 42, 0, donor.host.index() as u8);
+        let peer = peer_ip(donor.host);
         let mut staged: Vec<(ChunkHash, Vec<(usize, FrameId)>)> = Vec::new();
         let mut wire = Nanos::ZERO;
         let mut fetched_bytes = 0u64;
@@ -1302,6 +1316,26 @@ mod tests {
 
     fn req(name: &str, n: i64) -> InvokeRequest {
         InvokeRequest::new(fid(name), args(n))
+    }
+
+    #[test]
+    fn peer_addresses_are_distinct_past_255_hosts() {
+        let ips: Vec<Ip> = [5, 250, 256, 1023]
+            .into_iter()
+            .map(|h| peer_ip(HostId::from_index(h)))
+            .collect();
+        for (k, a) in ips.iter().enumerate() {
+            assert!(ips[k + 1..].iter().all(|b| a != b), "{a} is shared");
+        }
+        assert_eq!(ips[2], Ip::new(10, 42, 1, 0));
+        assert_eq!(ips[3], Ip::new(10, 42, 3, 255));
+        // Hosts that fit in one octet keep their old address.
+        for h in 0..=255u8 {
+            assert_eq!(
+                peer_ip(HostId::from_index(usize::from(h))),
+                Ip::new(10, 42, 0, h)
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod elastic;
 pub mod engine;
 pub mod env;
 pub mod fireworks;
+pub mod fleet;
 pub mod host;
 pub mod mesh;
 pub mod symbols;

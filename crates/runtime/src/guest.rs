@@ -3,9 +3,7 @@
 use std::rc::Rc;
 
 use fireworks_lang::vm::VmSnapshot;
-use fireworks_lang::{
-    compile, ExecStats, Host, JitConfig, JitPolicy, LangError, Outcome, Program, Value, Vm,
-};
+use fireworks_lang::{compile, ExecStats, Host, JitConfig, LangError, Outcome, Program, Value, Vm};
 use fireworks_sim::{Clock, Nanos};
 
 use crate::profile::RuntimeProfile;
@@ -110,26 +108,6 @@ impl GuestRuntime {
             first_run_local: false,
             ops_since_reset: 0,
         })
-    }
-
-    /// Launches with a bare tier-up policy override.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `launch` with a `JitConfig` (wrap the policy via \
-                `JitConfig::default().with_policy(..)`)"
-    )]
-    pub fn launch_with_policy(
-        clock: &Clock,
-        profile: RuntimeProfile,
-        source: &str,
-        policy: Option<JitPolicy>,
-    ) -> Result<Self, LangError> {
-        GuestRuntime::launch(
-            clock,
-            profile,
-            source,
-            JitConfig::default().with_policy(policy),
-        )
     }
 
     /// Rebuilds a runtime from a snapshot. Charges nothing — the restore
@@ -328,7 +306,7 @@ impl GuestRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fireworks_lang::NoopHost;
+    use fireworks_lang::{JitPolicy, NoopHost};
 
     const SRC: &str = "
         fn work(n) {
@@ -448,36 +426,6 @@ mod tests {
         assert_eq!(r.value, Value::Int(12_497_500));
         assert_eq!(r.stats.compiles, 0);
         assert!(r.stats.jit_ops > r.stats.interp_ops);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn launch_with_policy_shim_matches_jitconfig_launch() {
-        let clock_a = Clock::new();
-        let mut a = GuestRuntime::launch_with_policy(
-            &clock_a,
-            RuntimeProfile::node(),
-            SRC,
-            Some(JitPolicy::AnnotatedEager),
-        )
-        .expect("ok");
-        let clock_b = Clock::new();
-        let mut b = GuestRuntime::launch(
-            &clock_b,
-            RuntimeProfile::node(),
-            SRC,
-            JitConfig::default().with_policy(Some(JitPolicy::AnnotatedEager)),
-        )
-        .expect("ok");
-        let ra = a
-            .invoke(&clock_a, "main", vec![Value::Int(5_000)], &mut NoopHost)
-            .expect("runs");
-        let rb = b
-            .invoke(&clock_b, "main", vec![Value::Int(5_000)], &mut NoopHost)
-            .expect("runs");
-        assert_eq!(ra.value, rb.value);
-        assert_eq!(ra.exec_time, rb.exec_time);
-        assert_eq!(clock_a.now(), clock_b.now());
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Elastic control plane: crash-reroute conservation on the fixed
 //! cluster, graceful drain with live snapshot hand-off, deadline-forced
 //! hard removal, scale-to-zero resurrection, chaos over the
-//! control-plane fault sites, and byte-determinism.
+//! control-plane fault sites, byte-determinism, `cluster.*` counters
+//! that match the report on both fleets, and a static elastic fleet
+//! serving exactly like a fixed cluster.
 
-use fireworks::core::elastic::{ElasticCluster, ElasticConfig, ElasticPolicy};
+use fireworks::core::elastic::{ElasticCluster, ElasticConfig, ElasticPolicy, ElasticReport};
 use fireworks::core::engine::EngineRequest;
 use fireworks::core::{ConcurrentPlatform, HostView, Route, SnapshotStorePolicy};
 use fireworks::prelude::*;
+use fireworks_bench::scale::SimPlatform;
 
 const SRC: &str = "
     fn main(params) {
@@ -388,4 +391,221 @@ fn same_seed_elastic_chaos_runs_are_identical() {
         format!("{report:?}")
     };
     assert_eq!(run_once(), run_once(), "same seed, same bytes");
+}
+
+/// Runs `schedule` on an elastic fleet held at `hosts` hosts — no
+/// scale-up, drain, prewarm or retirement can happen — and on a fixed
+/// cluster of the same width with the same placement (each function
+/// installed on host 0 and registered everywhere else), and asserts
+/// both serve every request identically. The elastic fleet's control
+/// ticks are the only difference, so `events_processed` is not
+/// compared.
+fn assert_static_elastic_matches_fixed<P: ConcurrentPlatform + 'static>(
+    hosts: usize,
+    platform: PlatformConfig,
+    factory: fn(PlatformEnv, &PlatformConfig) -> P,
+    specs: &[FunctionSpec],
+    schedule: &[EngineRequest],
+) {
+    let mut config = ElasticConfig::new(1);
+    config.platform = platform.clone();
+    config.policy = ElasticPolicy {
+        min_hosts: hosts,
+        max_hosts: hosts,
+        prewarm: false,
+        retire_after: None,
+        ..ElasticPolicy::default()
+    };
+    let mut elastic = ElasticCluster::new(config, factory);
+    let mut fixed_config = ClusterConfig::new(hosts, 1);
+    fixed_config.platform = platform;
+    let mut fixed = Cluster::new(fixed_config, factory);
+    for spec in specs {
+        elastic.install(spec).expect("installs");
+        for h in (0..hosts).map(HostId::from_index) {
+            let host = fixed.host_mut(h);
+            if h.index() == 0 {
+                host.install(spec).expect("installs");
+            } else {
+                host.register(spec).expect("registers");
+            }
+        }
+    }
+
+    let e = elastic.run(&mut LocalityAffinity::new(), schedule);
+    let f = fixed.run(&mut LocalityAffinity::new(), schedule);
+    assert_eq!(e.completions.len(), f.completions.len());
+    for (a, b) in e.completions.iter().zip(&f.completions) {
+        assert_eq!(
+            (a.host, a.started, a.finished),
+            (b.host, b.started, b.finished),
+            "request {}",
+            a.index
+        );
+        assert_eq!(
+            format!("{:?}", a.result),
+            format!("{:?}", b.result),
+            "request {}",
+            a.index
+        );
+    }
+    assert_eq!(e.stats.locality_hits, f.locality_hits);
+    assert_eq!(e.stats.rebalances, f.rebalances);
+    assert_eq!(e.peak_inflight, f.peak_inflight);
+    // The schedule must have exercised placement, not just one host.
+    assert!(f.completions.iter().all(|c| c.result.is_ok()));
+    assert!(f.peak_cluster_queue_depth > 0, "no request ever waited");
+    let used: std::collections::BTreeSet<_> = f.completions.iter().map(|c| c.host).collect();
+    assert_eq!(used.len(), hosts, "every host served");
+}
+
+/// A bursty three-function schedule, denser than `hosts` one-slot hosts
+/// can absorb, so requests queue on hosts and on the fleet.
+fn mixed_burst(args: impl Fn(usize) -> Value) -> Vec<EngineRequest> {
+    let names = ["f", "g", "h"];
+    (0..48)
+        .map(|i| {
+            let at = Nanos::from_micros(700) * i as u64;
+            EngineRequest::at(at, InvokeRequest::new(fid(names[i % 3]), args(i)))
+        })
+        .collect()
+}
+
+/// The premise of the fleet kernel: a fixed cluster *is* the elastic
+/// fleet under a static policy. On a fault-free schedule with no
+/// deadlines, both place, start and finish every request at the same
+/// host and instant with the same result.
+#[test]
+fn static_elastic_fleet_serves_exactly_like_a_fixed_cluster() {
+    let specs = [spec("f"), spec("g"), spec("h")];
+    let dedup = PlatformConfig::builder()
+        .snapshot_store(SnapshotStorePolicy::dedup())
+        .build();
+    assert_static_elastic_matches_fixed(
+        3,
+        dedup,
+        |env, cfg| FireworksPlatform::with_config(env, cfg.clone()),
+        &specs,
+        &mixed_burst(|i| Value::map([("n".to_string(), Value::Int(200 + 50 * i as i64))])),
+    );
+    assert_static_elastic_matches_fixed(
+        4,
+        PlatformConfig::default(),
+        |env, _| SimPlatform::new(env),
+        &specs,
+        // SimPlatform reads an integer argument as its execution time.
+        &mixed_burst(|i| Value::Int(2_000_000 + 100_000 * (i % 7) as i64)),
+    );
+}
+
+/// Sums a counter over all its label sets.
+fn counter_total(cluster: &ElasticCluster<FireworksPlatform>, name: &str) -> u64 {
+    let snap = cluster.obs().metrics().snapshot();
+    let labelled = format!("{name}{{");
+    snap.counters()
+        .filter(|(k, _)| *k == name || k.starts_with(&labelled))
+        .map(|(_, v)| v)
+        .sum()
+}
+
+/// Asserts the kernel's `cluster.*` counters agree with the report.
+fn assert_cluster_counters_match(
+    cluster: &ElasticCluster<FireworksPlatform>,
+    report: &ElasticReport,
+) {
+    let s = &report.stats;
+    assert_eq!(
+        counter_total(cluster, "cluster.crash_reroutes"),
+        s.crash_reroutes
+    );
+    assert_eq!(counter_total(cluster, "cluster.rebalances"), s.rebalances);
+    assert_eq!(
+        counter_total(cluster, "cluster.locality_hits"),
+        s.locality_hits
+    );
+    // Every host death — a crash, or a drain interrupt — counts as a
+    // host crash; a failed boot does not.
+    assert_eq!(
+        counter_total(cluster, "cluster.host_crashes"),
+        report.failed_hosts.len() as u64 - s.scale_up_failures,
+        "{s:?}"
+    );
+}
+
+/// Whether some host's `DrainInterrupt` fired after its first draw. A
+/// host drains at most once and draws first at the drain's start, so a
+/// later firing killed it in the middle of its hand-offs.
+fn died_mid_handoff(cluster: &ElasticCluster<FireworksPlatform>) -> bool {
+    (0..cluster.len()).any(|h| {
+        let injector = cluster.host_env(HostId::from_index(h)).injector.borrow();
+        injector
+            .injected()
+            .iter()
+            .any(|f| f.site == FaultSite::DrainInterrupt && f.occurrence > 1)
+    })
+}
+
+/// Every displacement and every host death on the elastic fleet goes
+/// through the kernel's one fail/reroute path, so its `cluster.*`
+/// counters agree with its report exactly as the fixed cluster's do:
+/// through a graceful drain, a deadline-forced hard removal, a drain
+/// interrupted in the middle of its hand-offs, and crashes that
+/// reroute queued requests.
+///
+/// (No drain displaces queued work: the control loop drains only a host
+/// that sat idle through whole ticks with no pressure anywhere, so its
+/// queue is empty when the drain starts.)
+#[test]
+fn elastic_drains_and_crashes_keep_the_cluster_counters_exact() {
+    let stalled = ElasticPolicy {
+        drain_deadline: Nanos::from_millis(10),
+        migration: RecoveryPolicy {
+            backoff_base: Nanos::from_millis(200),
+            ..RecoveryPolicy::default()
+        },
+        ..sole_holder_policy()
+    };
+    let scenarios = [
+        ("graceful drain", sole_holder_policy(), FaultPlan::new(3)),
+        (
+            "hard removal",
+            stalled,
+            FaultPlan::new(5).probability(FaultSite::MigrationStall, 1.0),
+        ),
+        // The donor's second draw is its first hand-off attempt.
+        (
+            "mid-hand-off interrupt",
+            sole_holder_policy(),
+            FaultPlan::new(3).nth(FaultSite::DrainInterrupt, 2),
+        ),
+        (
+            "crash reroutes",
+            sole_holder_policy(),
+            FaultPlan::new(3).nth(FaultSite::HostCrash, 3),
+        ),
+    ];
+    for (name, policy, plan) in scenarios {
+        let mut cluster = dedup_elastic(policy, plan);
+        cluster.install(&spec("f")).expect("installs");
+        cluster.install(&spec("g")).expect("installs");
+        let report = cluster.run(&mut SplitByFunction, &sole_holder_schedule());
+        let s = &report.stats;
+        let exercised = match name {
+            "graceful drain" => s.graceful_drains > 0 && s.migrations > 0,
+            "hard removal" => s.hard_removals > 0,
+            "mid-hand-off interrupt" => died_mid_handoff(&cluster),
+            _ => s.crash_reroutes > 0,
+        };
+        assert!(exercised, "{name}: {s:?}");
+        assert!(
+            report.completions.iter().all(|c| c.result.is_ok()),
+            "{name}"
+        );
+        assert!(
+            report.audit_violations.is_empty(),
+            "{name}: {:?}",
+            report.audit_violations
+        );
+        assert_cluster_counters_match(&cluster, &report);
+    }
 }
